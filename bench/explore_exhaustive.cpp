@@ -64,7 +64,9 @@ void report(const std::string& name, const ExploreResult& r,
                               " deliveries): " + r.violation
                         : "MISSING (unexpected)");
   } else {
-    std::cout << "  -> " << (r.ok ? "VERIFIED" : "VIOLATION: " + r.violation);
+    std::cout << "  -> "
+              << (r.ok ? "VERIFIED" + omission_note(r)
+                       : "VIOLATION: " + r.violation);
   }
   std::cout << '\n';
 }

@@ -33,7 +33,7 @@ struct Put final : MessagePayload {
   Tag tag;
   Value value;
   Put(std::uint64_t r, Tag t, Value v) : rid(r), tag(t), value(std::move(v)) {}
-  std::string type_name() const override { return "naive.put"; }
+  std::string_view type_name() const override { return "naive.put"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
   }
@@ -43,14 +43,14 @@ struct Put final : MessagePayload {
 struct PutAck final : MessagePayload {
   std::uint64_t rid;
   explicit PutAck(std::uint64_t r) : rid(r) {}
-  std::string type_name() const override { return "naive.put_ack"; }
+  std::string_view type_name() const override { return "naive.put_ack"; }
   StateBits size_bits() const override { return {0, 64}; }
 };
 
 struct Get final : MessagePayload {
   std::uint64_t rid;
   explicit Get(std::uint64_t r) : rid(r) {}
-  std::string type_name() const override { return "naive.get"; }
+  std::string_view type_name() const override { return "naive.get"; }
   StateBits size_bits() const override { return {0, 64}; }
 };
 
@@ -60,7 +60,7 @@ struct GetResp final : MessagePayload {
   Value value;
   GetResp(std::uint64_t r, Tag t, Value v)
       : rid(r), tag(t), value(std::move(v)) {}
-  std::string type_name() const override { return "naive.get_resp"; }
+  std::string_view type_name() const override { return "naive.get_resp"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
   }
@@ -93,11 +93,9 @@ class Server final : public CloneableProcess<Server> {
     return {static_cast<double>(value_.size()) * 8.0, Tag::kBits};
   }
 
-  Bytes encode_state() const override {
-    BufWriter w;
+  void encode_state(BufWriter& w) const override {
     tag_.encode(w);
     w.bytes(value_);
-    return std::move(w).take();
   }
 
   std::string name() const override { return "naive.server"; }
@@ -141,12 +139,10 @@ class Writer final : public CloneableProcess<Writer> {
   StateBits state_size() const override {
     return {static_cast<double>(value_.size()) * 8.0, Tag::kBits + 128};
   }
-  Bytes encode_state() const override {
-    BufWriter w;
+  void encode_state(BufWriter& w) const override {
     w.u64(rid_);
     w.u64(seq_);
     w.bytes(value_);
-    return std::move(w).take();
   }
   std::string name() const override { return "naive.writer"; }
 
@@ -195,12 +191,10 @@ class Reader final : public CloneableProcess<Reader> {
   StateBits state_size() const override {
     return {static_cast<double>(best_value_.size()) * 8.0, Tag::kBits + 128};
   }
-  Bytes encode_state() const override {
-    BufWriter w;
+  void encode_state(BufWriter& w) const override {
     w.u64(rid_);
     best_.encode(w);
     w.bytes(best_value_);
-    return std::move(w).take();
   }
   std::string name() const override { return "naive.reader"; }
 

@@ -375,7 +375,8 @@ int cmd_explore(const Args& a) {
             << (opt.reorder ? ", non-FIFO" : ", FIFO") << "): states="
             << res.states_visited << " terminals=" << res.terminal_states
             << " complete=" << (res.complete ? "yes" : "NO") << " -> "
-            << (res.ok ? "VERIFIED atomic+live" : "VIOLATION: " + res.violation)
+            << (res.ok ? "VERIFIED atomic+live" + omission_note(res)
+                       : "VIOLATION: " + res.violation)
             << '\n';
   if (opt.reduction.sleep_sets || opt.reduction.symmetry) {
     std::cout << "reduction: sleep_sets="

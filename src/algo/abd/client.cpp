@@ -69,7 +69,8 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     if (replied_.size() >= quorum_) complete(ctx);
     return;
   }
-  MEMU_UNREACHABLE("abd.writer got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("abd.writer got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 bool Writer::ignores(NodeId from, const MessagePayload& msg) const {
@@ -87,12 +88,6 @@ bool Writer::ignores(NodeId from, const MessagePayload& msg) const {
 StateBits Writer::state_size() const {
   return {static_cast<double>(pending_value_->size()) * 8.0,
           2 * Tag::kBits + 64 * 3};
-}
-
-Bytes Writer::encode_state() const {
-  BufWriter w;
-  encode_state_relabeled(NodeRelabeling{}, w);  // identity
-  return std::move(w).take();
 }
 
 void Writer::encode_state_relabeled(const NodeRelabeling& rank,
@@ -166,7 +161,8 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  MEMU_UNREACHABLE("abd.reader got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("abd.reader got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 bool Reader::ignores(NodeId from, const MessagePayload& msg) const {
@@ -181,12 +177,6 @@ bool Reader::ignores(NodeId from, const MessagePayload& msg) const {
 
 StateBits Reader::state_size() const {
   return {static_cast<double>(best_value_->size()) * 8.0, Tag::kBits + 64 * 2};
-}
-
-Bytes Reader::encode_state() const {
-  BufWriter w;
-  encode_state_relabeled(NodeRelabeling{}, w);  // identity
-  return std::move(w).take();
 }
 
 void Reader::encode_state_relabeled(const NodeRelabeling& rank,

@@ -31,7 +31,9 @@ class Writer final : public CloneableProcess<Writer> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void encode_state(BufWriter& w) const override {
+    encode_state_relabeled(NodeRelabeling{}, w);  // identity
+  }
   std::string name() const override { return "abd.writer"; }
 
   // The pending value sits behind a shared slab block (set once at invoke):
@@ -88,7 +90,9 @@ class Reader final : public CloneableProcess<Reader> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void encode_state(BufWriter& w) const override {
+    encode_state_relabeled(NodeRelabeling{}, w);  // identity
+  }
   std::string name() const override { return "abd.reader"; }
 
   // The best-so-far value sits behind a shared slab block (replaced

@@ -16,7 +16,8 @@ void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     ctx.send(from, make_msg<StoreAck>(s->rid));
     return;
   }
-  MEMU_UNREACHABLE("abd.server got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("abd.server got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 }  // namespace memu::abd

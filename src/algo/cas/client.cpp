@@ -104,7 +104,8 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     if (replied_.size() >= quorum_) complete(ctx);
     return;
   }
-  MEMU_UNREACHABLE("cas.writer got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("cas.writer got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 bool Writer::ignores(NodeId from, const MessagePayload& msg) const {
@@ -132,12 +133,6 @@ StateBits Writer::state_size() const {
   for (const auto& shard : *pending_shards_)
     bits.value_bits += static_cast<double>(shard.size()) * 8.0;
   return bits;
-}
-
-Bytes Writer::encode_state() const {
-  BufWriter w;
-  encode_state_relabeled(NodeRelabeling{}, w);  // identity
-  return std::move(w).take();
 }
 
 void Writer::encode_state_relabeled(const NodeRelabeling& rank,
@@ -246,7 +241,8 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     maybe_complete(ctx);
     return;
   }
-  MEMU_UNREACHABLE("cas.reader got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("cas.reader got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 bool Reader::ignores(NodeId from, const MessagePayload& msg) const {
@@ -269,12 +265,6 @@ StateBits Reader::state_size() const {
   return bits;
 }
 
-Bytes Reader::encode_state() const {
-  BufWriter w;
-  encode_state_relabeled(NodeRelabeling{}, w);  // identity
-  return std::move(w).take();
-}
-
 void Reader::encode_state_relabeled(const NodeRelabeling& rank,
                                     BufWriter& w) const {
   w.u8(static_cast<std::uint8_t>(phase_));
@@ -282,6 +272,14 @@ void Reader::encode_state_relabeled(const NodeRelabeling& rank,
   target_.encode(w);
   max_seen_.encode(w);
   w.u64(shards_.size());
+  if (rank.is_identity()) {  // shards_ is already in ascending id order
+    for (const auto& [node, shard] : shards_) {
+      w.u32(node.value);
+      w.bytes(*shard);
+    }
+    encode_relabeled_ids(replied_, rank, w);
+    return;
+  }
   std::vector<std::pair<std::uint32_t, const Bytes*>> mapped;
   mapped.reserve(shards_.size());
   for (const auto& [node, shard] : shards_)

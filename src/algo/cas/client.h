@@ -34,7 +34,9 @@ class Writer final : public CloneableProcess<Writer> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void encode_state(BufWriter& w) const override {
+    encode_state_relabeled(NodeRelabeling{}, w);  // identity
+  }
   std::string name() const override { return "cas.writer"; }
 
   // The pending value and shard list live behind shared slab blocks
@@ -98,7 +100,9 @@ class Reader final : public CloneableProcess<Reader> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void encode_state(BufWriter& w) const override {
+    encode_state_relabeled(NodeRelabeling{}, w);  // identity
+  }
   std::string name() const override { return "cas.reader"; }
 
   // Collected shards live behind shared slab blocks (each written once on

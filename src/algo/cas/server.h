@@ -32,7 +32,7 @@ class Server final : public CloneableProcess<Server> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void encode_state(BufWriter& w) const override;
   std::string name() const override { return "cas.server"; }
   bool is_server() const override { return true; }
 

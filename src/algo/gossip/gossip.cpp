@@ -33,7 +33,8 @@ void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     ctx.send(from, make_msg<QueryResp>(q->rid, tag_, value_));
     return;
   }
-  MEMU_UNREACHABLE("gossip.server got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("gossip.server got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 // ---- Writer -----------------------------------------------------------------
@@ -72,7 +73,8 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  MEMU_UNREACHABLE("gossip.writer got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("gossip.writer got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 StateBits Writer::state_size() const {
@@ -80,15 +82,13 @@ StateBits Writer::state_size() const {
           Tag::kBits + 64 * 3};
 }
 
-Bytes Writer::encode_state() const {
-  BufWriter w;
+void Writer::encode_state(BufWriter& w) const {
   w.boolean(busy_);
   w.u64(rid_);
   w.u64(seq_);
   w.bytes(pending_value_);
   w.u64(replied_.size());
   for (NodeId n : replied_) w.u32(n.value);
-  return std::move(w).take();
 }
 
 // ---- Reader -----------------------------------------------------------------
@@ -128,22 +128,21 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  MEMU_UNREACHABLE("gossip.reader got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("gossip.reader got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 StateBits Reader::state_size() const {
   return {static_cast<double>(best_value_.size()) * 8.0, Tag::kBits + 64 * 2};
 }
 
-Bytes Reader::encode_state() const {
-  BufWriter w;
+void Reader::encode_state(BufWriter& w) const {
   w.boolean(busy_);
   w.u64(rid_);
   best_tag_.encode(w);
   w.bytes(best_value_);
   w.u64(replied_.size());
   for (NodeId n : replied_) w.u32(n.value);
-  return std::move(w).take();
 }
 
 // ---- System -----------------------------------------------------------------

@@ -34,7 +34,7 @@ struct StoreReq final : MessagePayload {
   StoreReq(std::uint64_t r, Tag t, Value v)
       : rid(r), tag(t), value(std::move(v)) {}
 
-  std::string type_name() const override { return "gossip.store_req"; }
+  std::string_view type_name() const override { return "gossip.store_req"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
   }
@@ -52,7 +52,7 @@ struct StoreAck final : MessagePayload {
 
   explicit StoreAck(std::uint64_t r) : rid(r) {}
 
-  std::string type_name() const override { return "gossip.store_ack"; }
+  std::string_view type_name() const override { return "gossip.store_ack"; }
   StateBits size_bits() const override { return {0, 64}; }
 
   void encode_content(BufWriter& w) const override {
@@ -67,7 +67,7 @@ struct GossipMsg final : MessagePayload {
 
   GossipMsg(Tag t, Value v) : tag(t), value(std::move(v)) {}
 
-  std::string type_name() const override { return "gossip.gossip"; }
+  std::string_view type_name() const override { return "gossip.gossip"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, Tag::kBits};
   }
@@ -84,7 +84,7 @@ struct QueryReq final : MessagePayload {
 
   explicit QueryReq(std::uint64_t r) : rid(r) {}
 
-  std::string type_name() const override { return "gossip.query_req"; }
+  std::string_view type_name() const override { return "gossip.query_req"; }
   StateBits size_bits() const override { return {0, 64}; }
 
   void encode_content(BufWriter& w) const override {
@@ -100,7 +100,7 @@ struct QueryResp final : MessagePayload {
   QueryResp(std::uint64_t r, Tag t, Value v)
       : rid(r), tag(t), value(std::move(v)) {}
 
-  std::string type_name() const override { return "gossip.query_resp"; }
+  std::string_view type_name() const override { return "gossip.query_resp"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
   }
@@ -126,11 +126,9 @@ class Server final : public CloneableProcess<Server> {
     return {static_cast<double>(value_.size()) * 8.0, Tag::kBits};
   }
 
-  Bytes encode_state() const override {
-    BufWriter w;
+  void encode_state(BufWriter& w) const override {
     tag_.encode(w);
     w.bytes(value_);
-    return std::move(w).take();
   }
 
   std::string name() const override { return "gossip.server"; }
@@ -159,7 +157,7 @@ class Writer final : public CloneableProcess<Writer> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void encode_state(BufWriter& w) const override;
   std::string name() const override { return "gossip.writer"; }
 
   bool idle() const { return !busy_; }
@@ -186,7 +184,7 @@ class Reader final : public CloneableProcess<Reader> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void encode_state(BufWriter& w) const override;
   std::string name() const override { return "gossip.reader"; }
 
   bool idle() const { return !busy_; }

@@ -108,7 +108,8 @@ void Server::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     answer(ctx, from, g->rid, g->tag);
     return;
   }
-  MEMU_UNREACHABLE("strip.server got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("strip.server got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 void Server::run_gc(Context& ctx) {
@@ -147,8 +148,7 @@ StateBits Server::state_size() const {
   return bits;
 }
 
-Bytes Server::encode_state() const {
-  BufWriter w;
+void Server::encode_state(BufWriter& w) const {
   gc_watermark_.encode(w);
   w.u64(store_.size());
   for (const auto& [tag, entry] : store_) {
@@ -166,7 +166,6 @@ Bytes Server::encode_state() const {
       w.u64(rid);
     }
   }
-  return std::move(w).take();
 }
 
 std::size_t Server::full_copies() const {
@@ -253,7 +252,8 @@ void Writer::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     }
     return;
   }
-  MEMU_UNREACHABLE("strip.writer got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("strip.writer got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 StateBits Writer::state_size() const {
@@ -261,8 +261,7 @@ StateBits Writer::state_size() const {
           2 * Tag::kBits + 64 * 3};
 }
 
-Bytes Writer::encode_state() const {
-  BufWriter w;
+void Writer::encode_state(BufWriter& w) const {
   w.u8(static_cast<std::uint8_t>(phase_));
   w.u64(rid_);
   tag_.encode(w);
@@ -270,7 +269,6 @@ Bytes Writer::encode_state() const {
   w.bytes(pending_value_);
   w.u64(replied_.size());
   for (NodeId n : replied_) w.u32(n.value);
-  return std::move(w).take();
 }
 
 // ---- Reader -----------------------------------------------------------------
@@ -378,7 +376,8 @@ void Reader::on_message(Context& ctx, NodeId from, const MessagePayload& msg) {
     maybe_complete(ctx);
     return;
   }
-  MEMU_UNREACHABLE("strip.reader got unexpected message " + msg.type_name());
+  MEMU_UNREACHABLE("strip.reader got unexpected message " +
+                   std::string(msg.type_name()));
 }
 
 StateBits Reader::state_size() const {
@@ -390,8 +389,7 @@ StateBits Reader::state_size() const {
   return bits;
 }
 
-Bytes Reader::encode_state() const {
-  BufWriter w;
+void Reader::encode_state(BufWriter& w) const {
   w.u8(static_cast<std::uint8_t>(phase_));
   w.u64(rid_);
   target_.encode(w);
@@ -402,7 +400,6 @@ Bytes Reader::encode_state() const {
     w.u32(node.value);
     w.bytes(symbol);
   }
-  return std::move(w).take();
 }
 
 // ---- System ------------------------------------------------------------------

@@ -45,7 +45,7 @@ namespace memu::strip {
 struct QueryReq final : MessagePayload {
   std::uint64_t rid = 0;
   explicit QueryReq(std::uint64_t r) : rid(r) {}
-  std::string type_name() const override { return "strip.query_req"; }
+  std::string_view type_name() const override { return "strip.query_req"; }
   StateBits size_bits() const override { return {0, 64}; }
 
   void encode_content(BufWriter& w) const override {
@@ -57,7 +57,7 @@ struct QueryResp final : MessagePayload {
   std::uint64_t rid = 0;
   Tag tag;
   QueryResp(std::uint64_t r, Tag t) : rid(r), tag(t) {}
-  std::string type_name() const override { return "strip.query_resp"; }
+  std::string_view type_name() const override { return "strip.query_resp"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -73,7 +73,7 @@ struct StoreReq final : MessagePayload {
   Value value;
   StoreReq(std::uint64_t r, Tag t, Value v)
       : rid(r), tag(t), value(std::move(v)) {}
-  std::string type_name() const override { return "strip.store_req"; }
+  std::string_view type_name() const override { return "strip.store_req"; }
   StateBits size_bits() const override {
     return {static_cast<double>(value.size()) * 8.0, 64 + Tag::kBits};
   }
@@ -90,7 +90,7 @@ struct StoreAck final : MessagePayload {
   std::uint64_t rid = 0;
   Tag tag;
   StoreAck(std::uint64_t r, Tag t) : rid(r), tag(t) {}
-  std::string type_name() const override { return "strip.store_ack"; }
+  std::string_view type_name() const override { return "strip.store_ack"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -103,7 +103,7 @@ struct CommitReq final : MessagePayload {
   std::uint64_t rid = 0;
   Tag tag;
   CommitReq(std::uint64_t r, Tag t) : rid(r), tag(t) {}
-  std::string type_name() const override { return "strip.commit_req"; }
+  std::string_view type_name() const override { return "strip.commit_req"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -116,7 +116,7 @@ struct CommitAck final : MessagePayload {
   std::uint64_t rid = 0;
   Tag tag;
   CommitAck(std::uint64_t r, Tag t) : rid(r), tag(t) {}
-  std::string type_name() const override { return "strip.commit_ack"; }
+  std::string_view type_name() const override { return "strip.commit_ack"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -131,7 +131,7 @@ struct GetReq final : MessagePayload {
   std::uint64_t rid = 0;
   Tag tag;
   GetReq(std::uint64_t r, Tag t) : rid(r), tag(t) {}
-  std::string type_name() const override { return "strip.get_req"; }
+  std::string_view type_name() const override { return "strip.get_req"; }
   StateBits size_bits() const override { return {0, 64 + Tag::kBits}; }
 
   void encode_content(BufWriter& w) const override {
@@ -150,7 +150,7 @@ struct GetResp final : MessagePayload {
   GetResp(std::uint64_t r, Tag t, Kind k, Bytes d)
       : rid(r), tag(t), kind(k), data(std::move(d)) {}
 
-  std::string type_name() const override { return "strip.get_resp"; }
+  std::string_view type_name() const override { return "strip.get_resp"; }
   StateBits size_bits() const override {
     return {static_cast<double>(data.size()) * 8.0, 64 + Tag::kBits + 2};
   }
@@ -177,7 +177,7 @@ class Server final : public CloneableProcess<Server> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void encode_state(BufWriter& w) const override;
   std::string name() const override { return "strip.server"; }
   bool is_server() const override { return true; }
 
@@ -222,7 +222,7 @@ class Writer final : public CloneableProcess<Writer> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void encode_state(BufWriter& w) const override;
   std::string name() const override { return "strip.writer"; }
 
   enum class Phase : std::uint8_t { kIdle, kQuery, kStore, kCommit };
@@ -251,7 +251,7 @@ class Reader final : public CloneableProcess<Reader> {
                   const MessagePayload& msg) override;
 
   StateBits state_size() const override;
-  Bytes encode_state() const override;
+  void encode_state(BufWriter& w) const override;
   std::string name() const override { return "strip.reader"; }
   bool idle() const { return phase_ == Phase::kIdle; }
   std::size_t restarts() const { return restarts_; }

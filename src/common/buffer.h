@@ -11,15 +11,24 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
 
 namespace memu {
 
 using Bytes = std::vector<std::uint8_t>;
 
-// Appends primitive values to a growing byte vector in little-endian order.
+// Appends primitive values in little-endian order, in one of two modes:
+//   - storing (the default): to a growing byte vector, whole words at a
+//     time;
+//   - hashing (BufWriter::hashing()): the same calls fold the bytes the
+//     storing mode would have written straight into FNV-1a plus a length
+//     count, so fingerprint() equals fingerprint64() of that encoding and
+//     nothing is allocated. World::state_hash() streams process states and
+//     message payloads through this mode.
 class BufWriter {
  public:
   BufWriter() = default;
@@ -30,42 +39,70 @@ class BufWriter {
   // Retrieve the result with std::move(w).take().
   explicit BufWriter(Bytes&& reuse) : out_(std::move(reuse)) { out_.clear(); }
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  static BufWriter hashing() {
+    BufWriter w;
+    w.hashing_ = true;
+    return w;
   }
 
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-
+  void u8(std::uint8_t v) { word(v); }
+  void u32(std::uint32_t v) { word(v); }
+  void u64(std::uint64_t v) { word(v); }
   void boolean(bool v) { u8(v ? 1 : 0); }
 
   // Length-prefixed byte string.
   void bytes(std::span<const std::uint8_t> data) {
     u64(data.size());
-    out_.insert(out_.end(), data.begin(), data.end());
+    append(data);
   }
 
-  // Raw append, no length prefix: for splicing pre-encoded blocks whose
-  // framing the caller owns (Process::encode_state_relabeled's default
-  // forwards whole encode_state() outputs through this).
-  void raw(std::span<const std::uint8_t> data) {
-    out_.insert(out_.end(), data.begin(), data.end());
+  void str(std::string_view s) {
+    bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
 
-  void str(const std::string& s) {
-    u64(s.size());
-    out_.insert(out_.end(), s.begin(), s.end());
+  // Storing mode only.
+  const Bytes& data() const& {
+    MEMU_CHECK(!hashing_);
+    return out_;
+  }
+  Bytes take() && {
+    MEMU_CHECK(!hashing_);
+    return std::move(out_);
   }
 
-  const Bytes& data() const& { return out_; }
-  Bytes take() && { return std::move(out_); }
-  std::size_t size() const { return out_.size(); }
+  // Bytes written (or, hashing, that would have been written).
+  std::size_t size() const { return hashing_ ? len_ : out_.size(); }
+
+  // fingerprint64() of the encoding, in either mode.
+  std::uint64_t fingerprint() const {
+    return hashing_ ? fingerprint_finish(fnv_, len_) : fingerprint64(out_);
+  }
 
  private:
+  template <class T>
+  void word(T v) {
+    std::uint8_t le[sizeof(T)];
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    append(le);
+  }
+
+  void append(std::span<const std::uint8_t> data) {
+    if (hashing_) {
+      fnv_ = fnv1a64_update(fnv_, data);
+      len_ += data.size();
+      return;
+    }
+    if (data.empty()) return;
+    const std::size_t at = out_.size();
+    out_.resize(at + data.size());
+    std::memcpy(out_.data() + at, data.data(), data.size());
+  }
+
   Bytes out_;
+  bool hashing_ = false;
+  std::uint64_t fnv_ = kFnv64Offset;  // hashing mode: running FNV-1a state
+  std::uint64_t len_ = 0;             // hashing mode: bytes folded so far
 };
 
 // Reads primitives back out of a byte span; throws ContractError on

@@ -13,13 +13,23 @@
 
 namespace memu {
 
-inline std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+inline constexpr std::uint64_t kFnv64Offset = 0xcbf29ce484222325ull;
+inline constexpr std::uint64_t kFnv64Prime = 0x100000001b3ull;
+
+// Folds `data` into a running FNV-1a state; fnv1a64 starts at the offset
+// basis. Split out so a streaming sink (BufWriter's hashing mode) folds
+// exactly the bytes a stored encoding would hold.
+inline std::uint64_t fnv1a64_update(std::uint64_t h,
+                                    std::span<const std::uint8_t> data) {
   for (const std::uint8_t b : data) {
     h ^= b;
-    h *= 0x100000001b3ull;
+    h *= kFnv64Prime;
   }
   return h;
+}
+
+inline std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
+  return fnv1a64_update(kFnv64Offset, data);
 }
 
 // splitmix64 finalizer: a bijective mixer with full avalanche.
@@ -32,9 +42,15 @@ inline std::uint64_t mix64(std::uint64_t x) {
   return x;
 }
 
+// Finishes a fingerprint from the FNV-1a state and length of the bytes.
+inline std::uint64_t fingerprint_finish(std::uint64_t fnv,
+                                        std::uint64_t size) {
+  return mix64(fnv ^ (0x9e3779b97f4a7c15ull + size));
+}
+
 // State fingerprint for visited-set deduplication (see engine/visited.h).
 inline std::uint64_t fingerprint64(std::span<const std::uint8_t> data) {
-  return mix64(fnv1a64(data) ^ (0x9e3779b97f4a7c15ull + data.size()));
+  return fingerprint_finish(fnv1a64(data), data.size());
 }
 
 }  // namespace memu

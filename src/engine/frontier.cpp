@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -606,3 +607,17 @@ ExploreResult frontier_search(const World& initial, const ExploreOptions& opt,
 }
 
 }  // namespace memu::engine
+
+namespace memu {
+
+std::string omission_note(const ExploreResult& r) {
+  if (r.exact_dedupe) return "";
+  const double s = static_cast<double>(r.dedupe_entries);
+  char buf[96];
+  std::snprintf(buf, sizeof buf,
+                " (fingerprint dedupe: omission probability ~%.1e)",
+                s * s / 0x1p65);
+  return buf;
+}
+
+}  // namespace memu

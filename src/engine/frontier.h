@@ -186,6 +186,13 @@ struct ExploreResult {
   std::vector<ExploreStep> violation_path;
 };
 
+// Suffix for a VERIFIED line: with fingerprint dedupe, the estimated
+// probability that two distinct states shared a 64-bit key and one's
+// subtree was never explored — the birthday bound S^2/2^65 over the S
+// states the visited set retained. Empty with exact dedupe, which never
+// merges distinct states.
+std::string omission_note(const ExploreResult& r);
+
 // Returns a violation description, or nullopt if the state is fine.
 using StateCheck = std::function<std::optional<std::string>(const World&)>;
 

@@ -265,11 +265,11 @@ class ChannelTable {
   std::size_t node_count() const { return nodes_; }
 
   void push(ChannelId chan, Message msg) {
-    // The payload fingerprint is computed exactly once per send — queue
-    // hash folds and the World's incremental state hash reuse it for the
-    // message's whole in-flight lifetime (including across COW copies).
-    if (msg.payload_fp == 0)
-      msg.payload_fp = fingerprint64(msg.payload->encode());
+    // The payload carries its fingerprint (computed once, in make_msg);
+    // queue hash folds and the World's incremental state hash reuse the
+    // copy for the message's whole in-flight lifetime (including across
+    // COW copies).
+    if (msg.payload_fp == 0) msg.payload_fp = msg.payload->fingerprint();
     const std::size_t slot = slot_of(chan);
     MsgQueue& q = slots_[slot];
     if (q.empty()) {

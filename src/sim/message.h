@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/bits.h"
 #include "common/buffer.h"
@@ -20,10 +21,19 @@ namespace memu {
 // Base class of all protocol messages.
 class MessagePayload {
  public:
+  MessagePayload() = default;
+  // The cached fingerprint is not content: a copy re-derives its own (a
+  // copy may be mutated before it is published).
+  MessagePayload(const MessagePayload&) {}
+  MessagePayload& operator=(const MessagePayload&) {
+    fp_ = 0;
+    return *this;
+  }
   virtual ~MessagePayload() = default;
 
-  // Human-readable message type, e.g. "abd.write_store".
-  virtual std::string type_name() const = 0;
+  // Human-readable message type, e.g. "abd.write_store". Overrides return
+  // string literals, so reading (and fingerprinting) it allocates nothing.
+  virtual std::string_view type_name() const = 0;
 
   // Size of this message, split into value and metadata bits.
   virtual StateBits size_bits() const = 0;
@@ -46,35 +56,64 @@ class MessagePayload {
   // markers; any payload with fields must override.
   virtual void encode_content(BufWriter& w) const { (void)w; }
 
-  // Full canonical encoding (type + content).
-  Bytes encode() const {
-    BufWriter w;
+  // Full canonical encoding (type + content), into `w` or as bytes.
+  void encode(BufWriter& w) const {
     w.str(type_name());
     encode_content(w);
+  }
+  Bytes encode() const {
+    BufWriter w;
+    encode(w);
     return std::move(w).take();
   }
+
+  // fingerprint64(encode()). make_msg computes it once, before the payload
+  // is shared, and this returns the cached value; a payload built any other
+  // way streams its encoding through a hashing BufWriter on every call.
+  std::uint64_t fingerprint() const {
+    return fp_ != 0 ? fp_ : stream_fingerprint();
+  }
+
+ private:
+  template <class T, class... Args>
+  friend std::shared_ptr<const MessagePayload> make_msg(Args&&... args);
+
+  std::uint64_t stream_fingerprint() const {
+    BufWriter w = BufWriter::hashing();
+    encode(w);
+    return w.fingerprint();
+  }
+
+  // 0 = not cached (a zero fingerprint, one in 2^64, just re-streams).
+  std::uint64_t fp_ = 0;
 };
 
 using MessagePtr = std::shared_ptr<const MessagePayload>;
 
 // An in-flight message. The channel it sits on is implied by the slot
 // holding it (ChannelTable indexes queues by (src, dst)), so a Message is
-// just the payload handle plus its cached fingerprint — 24 bytes, the unit
-// the channel message blocks are sized in.
+// just the payload handle plus its fingerprint — 24 bytes, the unit the
+// channel message blocks are sized in.
 struct Message {
   MessagePtr payload;
-  // Fingerprint of payload->encode(), computed once at enqueue
-  // (ChannelTable::push) and carried with the message ever after — the
-  // World's incremental state hash folds queues over these instead of
-  // re-encoding payloads. 0 means "not yet computed" (a zero fingerprint
-  // from fingerprint64 is one-in-2^64; push recomputes it harmlessly).
+  // payload->fingerprint(), copied in by ChannelTable::push and carried
+  // with the message ever after (duplicates, delays and COW copies
+  // included), so the World's incremental state hash folds queues without
+  // touching the payload. A broadcast payload from make_msg was hashed
+  // once, however many channels it is pushed onto. 0 means "not yet
+  // copied in" (push re-reads it harmlessly in the one-in-2^64 case).
   std::uint64_t payload_fp = 0;
 };
 
-// Convenience factory: make_msg<AbdQuery>(args...) -> MessagePtr.
+// Convenience factory: make_msg<AbdQuery>(args...) -> MessagePtr. The
+// payload is fingerprinted here, while this call still owns it, so the
+// cache needs no synchronization once the pointer is shared.
 template <class T, class... Args>
 MessagePtr make_msg(Args&&... args) {
-  return std::make_shared<const T>(std::forward<Args>(args)...);
+  auto p = std::make_shared<T>(std::forward<Args>(args)...);
+  MessagePayload& base = *p;
+  base.fp_ = base.stream_fingerprint();
+  return p;
 }
 
 }  // namespace memu

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <string>
@@ -97,6 +98,12 @@ class NodeRelabeling {
 template <class Range>
 inline void encode_relabeled_ids(const Range& ids, const NodeRelabeling& rank,
                                  BufWriter& w) {
+  if (rank.is_identity() && std::is_sorted(ids.begin(), ids.end())) {
+    w.u64(static_cast<std::uint64_t>(
+        std::distance(ids.begin(), ids.end())));
+    for (const NodeId id : ids) w.u32(id.value);
+    return;
+  }
   std::vector<std::uint32_t> mapped;
   for (const NodeId id : ids) mapped.push_back(rank(id));
   std::sort(mapped.begin(), mapped.end());
@@ -157,10 +164,18 @@ class Process {
 
   // Canonical encoding of the state; equal states encode equally. Used by
   // the adversary harness to compare server-state vectors across executions,
-  // and fingerprinted into World::state_hash() — so it must cover ALL state
-  // that distinguishes this process from a copy (anything clone() copies),
-  // or the explorer would merge genuinely distinct world states.
-  virtual Bytes encode_state() const = 0;
+  // and streamed into World::state_hash() through a hashing BufWriter — so
+  // it must cover ALL state that distinguishes this process from a copy
+  // (anything clone() copies), or the explorer would merge genuinely
+  // distinct world states.
+  virtual void encode_state(BufWriter& w) const = 0;
+
+  // The same encoding as bytes.
+  Bytes encode_state() const {
+    BufWriter w;
+    encode_state(w);
+    return std::move(w).take();
+  }
 
   virtual std::string name() const = 0;
 
@@ -181,7 +196,7 @@ class Process {
   // encode_state_relabeled() to map them. The relabeling is the identity on
   // non-server ids by construction, so a process that embeds only client
   // ids (e.g. a server tracking waiting readers) keeps the default
-  // encode_state_relabeled(), which forwards to encode_state().
+  // encode_state_relabeled(), which writes encode_state(w).
   //
   // The default for symmetry_relabelable() is FALSE: an un-audited process
   // conservatively disables symmetry for any World containing it (the
@@ -200,7 +215,7 @@ class Process {
   // identical to encode_state() under the identity relabeling.
   virtual void encode_state_relabeled(const NodeRelabeling& /*rank*/,
                                       BufWriter& w) const {
-    w.raw(encode_state());
+    encode_state(w);
   }
 
   NodeId id() const { return id_; }

@@ -224,7 +224,7 @@ void World::deliver(ChannelId chan, std::size_t index) {
   ++step_count_;
   const bool dropped = crashed_.contains(chan.dst);
   if (tracing_) {
-    trace_.record({step_count_, chan, msg.payload->type_name(),
+    trace_.record({step_count_, chan, std::string(msg.payload->type_name()),
                    msg.payload->size_bits(), dropped});
   }
   if (dropped) return;  // dropped at a crashed node
@@ -420,8 +420,10 @@ void World::flush_proc_hashes() const {
     if (!proc_dirty_[i]) continue;
     proc_dirty_[i] = 0;
     procs_hash_ ^= proc_comp_[i];  // XOR out the stale component (0 if new)
-    proc_comp_[i] = statehash::component(
-        statehash::kProcSeed, i, fingerprint64(processes_[i]->encode_state()));
+    BufWriter fp = BufWriter::hashing();
+    processes_[i]->encode_state(fp);
+    proc_comp_[i] =
+        statehash::component(statehash::kProcSeed, i, fp.fingerprint());
     procs_hash_ ^= proc_comp_[i];
   }
   any_proc_dirty_ = false;

@@ -25,7 +25,7 @@ class Probe final : public CloneableProcess<Probe> {
   }
 
   StateBits state_size() const override { return {}; }
-  Bytes encode_state() const override { return {}; }
+  void encode_state(BufWriter&) const override {}
   std::string name() const override { return "test.probe"; }
 
   const std::vector<std::string>& received_types() const { return names_; }

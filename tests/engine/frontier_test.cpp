@@ -15,7 +15,7 @@ namespace {
 struct Mark final : MessagePayload {
   std::uint64_t id;
   explicit Mark(std::uint64_t i) : id(i) {}
-  std::string type_name() const override { return "test.mark"; }
+  std::string_view type_name() const override { return "test.mark"; }
   StateBits size_bits() const override { return {0, 64}; }
   void encode_content(BufWriter& w) const override { w.u64(id); }
 };
@@ -26,10 +26,8 @@ class MarkSink final : public CloneableProcess<MarkSink> {
     received_ |= 1ull << dynamic_cast<const Mark&>(msg).id;
   }
   StateBits state_size() const override { return {0, 64}; }
-  Bytes encode_state() const override {
-    BufWriter w;
+  void encode_state(BufWriter& w) const override {
     w.u64(received_);
-    return std::move(w).take();
   }
   std::string name() const override { return "test.mark_sink"; }
   bool is_server() const override { return true; }
@@ -47,7 +45,7 @@ class Reflector final : public CloneableProcess<Reflector> {
     ctx.send(from, make_msg<Mark>(dynamic_cast<const Mark&>(msg).id));
   }
   StateBits state_size() const override { return {0, 0}; }
-  Bytes encode_state() const override { return {}; }
+  void encode_state(BufWriter&) const override {}
   std::string name() const override { return "test.reflector"; }
   bool is_server() const override { return true; }
 };

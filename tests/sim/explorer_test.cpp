@@ -14,7 +14,7 @@ namespace {
 struct Mark final : MessagePayload {
   std::uint64_t id;
   explicit Mark(std::uint64_t i) : id(i) {}
-  std::string type_name() const override { return "test.mark"; }
+  std::string_view type_name() const override { return "test.mark"; }
   StateBits size_bits() const override { return {0, 64}; }
   void encode_content(BufWriter& w) const override { w.u64(id); }
 };
@@ -25,10 +25,8 @@ class MarkSink final : public CloneableProcess<MarkSink> {
     received_ |= 1ull << dynamic_cast<const Mark&>(msg).id;
   }
   StateBits state_size() const override { return {0, 64}; }
-  Bytes encode_state() const override {
-    BufWriter w;
+  void encode_state(BufWriter& w) const override {
     w.u64(received_);
-    return std::move(w).take();
   }
   std::string name() const override { return "test.mark_sink"; }
   bool is_server() const override { return true; }

@@ -71,7 +71,7 @@ TEST(Reorder, ExplorerReorderModeCoversMoreStates) {
   struct Item final : MessagePayload {
     std::uint64_t id;
     explicit Item(std::uint64_t i) : id(i) {}
-    std::string type_name() const override { return "test.item"; }
+    std::string_view type_name() const override { return "test.item"; }
     StateBits size_bits() const override { return {0, 64}; }
     void encode_content(BufWriter& w) const override { w.u64(id); }
   };
@@ -81,10 +81,8 @@ TEST(Reorder, ExplorerReorderModeCoversMoreStates) {
       last = dynamic_cast<const Item&>(m).id;
     }
     StateBits state_size() const override { return {0, 64}; }
-    Bytes encode_state() const override {
-      BufWriter w;
+    void encode_state(BufWriter& w) const override {
       w.u64(last);
-      return std::move(w).take();
     }
     std::string name() const override { return "test.last_seen"; }
     bool is_server() const override { return true; }
@@ -115,7 +113,7 @@ struct Tagged final : MessagePayload {
   bool dep;
   bool bulk;
   Tagged(std::uint64_t i, bool d, bool b) : id(i), dep(d), bulk(b) {}
-  std::string type_name() const override { return "test.tagged"; }
+  std::string_view type_name() const override { return "test.tagged"; }
   StateBits size_bits() const override { return {bulk ? 64.0 : 0.0, 64}; }
   bool value_dependent() const override { return dep; }
   bool value_bulk() const override { return bulk; }
@@ -128,10 +126,8 @@ struct TaggedSink final : CloneableProcess<TaggedSink> {
     received |= 1ull << dynamic_cast<const Tagged&>(m).id;
   }
   StateBits state_size() const override { return {0, 64}; }
-  Bytes encode_state() const override {
-    BufWriter w;
+  void encode_state(BufWriter& w) const override {
     w.u64(received);
-    return std::move(w).take();
   }
   std::string name() const override { return "test.tagged_sink"; }
   bool is_server() const override { return true; }

@@ -8,12 +8,12 @@ namespace {
 
 // Toy payloads for exercising selective value-blocking.
 struct MetaMsg final : MessagePayload {
-  std::string type_name() const override { return "test.meta"; }
+  std::string_view type_name() const override { return "test.meta"; }
   StateBits size_bits() const override { return {0, 8}; }
 };
 
 struct ValueMsg final : MessagePayload {
-  std::string type_name() const override { return "test.value"; }
+  std::string_view type_name() const override { return "test.value"; }
   StateBits size_bits() const override { return {64, 0}; }
   bool value_dependent() const override { return true; }
 };
@@ -27,11 +27,9 @@ class Sink final : public CloneableProcess<Sink> {
       ++metas_;
   }
   StateBits state_size() const override { return {}; }
-  Bytes encode_state() const override {
-    BufWriter w;
+  void encode_state(BufWriter& w) const override {
     w.u64(values_);
     w.u64(metas_);
-    return std::move(w).take();
   }
   std::string name() const override { return "test.sink"; }
   bool is_server() const override { return true; }

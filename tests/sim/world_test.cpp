@@ -12,7 +12,7 @@ namespace {
 struct Ping final : MessagePayload {
   std::uint64_t n;
   explicit Ping(std::uint64_t v) : n(v) {}
-  std::string type_name() const override { return "test.ping"; }
+  std::string_view type_name() const override { return "test.ping"; }
   StateBits size_bits() const override { return {0, 64}; }
 };
 
@@ -34,11 +34,9 @@ class PingNode final : public CloneableProcess<PingNode> {
     return {0, static_cast<double>(received_) * 8};
   }
 
-  Bytes encode_state() const override {
-    BufWriter w;
+  void encode_state(BufWriter& w) const override {
     w.u64(received_);
     w.u64(last_);
-    return std::move(w).take();
   }
 
   std::string name() const override { return "test.ping_node"; }

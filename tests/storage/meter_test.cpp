@@ -19,7 +19,7 @@ class SpikeServer final : public CloneableProcess<SpikeServer> {
 
   void on_message(Context&, NodeId, const MessagePayload&) override {}
   StateBits state_size() const override { return bits_; }
-  Bytes encode_state() const override { return {}; }
+  void encode_state(BufWriter&) const override {}
   std::string name() const override { return "test.spike_server"; }
   bool is_server() const override { return true; }
 
