@@ -298,7 +298,7 @@ void engine_benchmark() {
   ExploreOptions mem = base;
   mem.mem = g_mem_budget;
   ExploreOptions spill = base;
-  spill.frontier_budget_bytes = 16ull << 10;
+  spill.frontier_budget_bytes = 3ull << 10;  // ~60% of the 5,320 B peak
 
   // Partial-order reduction (sleep sets + server symmetry): the same space
   // reduced, and — the headline pair — the non-FIFO (reorder) space full vs
@@ -421,7 +421,7 @@ void engine_benchmark() {
             << " B, frontier peak=" << m.result.frontier_bytes
             << " B, counters "
             << (sem_match(m) ? "IDENTICAL to unbudgeted" : "MISMATCH") << '\n'
-            << "    spill (16K frontier share): " << sp.result.spill_batches
+            << "    spill (3K frontier share): " << sp.result.spill_batches
             << " batches / " << sp.result.spilled_nodes
             << " nodes through disk, counters "
             << (sem_match(sp) ? "IDENTICAL to unbudgeted" : "MISMATCH")
@@ -544,7 +544,7 @@ void engine_benchmark() {
                        .push(run_json("parallel8_fingerprint", p))
                        .push(run_json("sequential_exact", e))
                        .push(run_json("sequential_fingerprint_mem", m))
-                       .push(run_json("sequential_spill16k", sp))
+                       .push(run_json("sequential_spill3k", sp))
                        .push(run_json("sequential_reduced", r))
                        .push(run_json("sequential_reorder_full", fro))
                        .push(run_json("sequential_reorder_reduced", rro))

@@ -39,6 +39,7 @@
 #include "algo/ldr/ldr.h"
 #include "algo/strip/strip.h"
 #include "bounds/bounds.h"
+#include "common/env.h"
 #include "common/table.h"
 #include "consistency/checker.h"
 #include "sim/explorer.h"
@@ -362,7 +363,7 @@ int cmd_explore(const Args& a) {
   opt.reduction.sleep_sets = a.has("reduce") || a.has("sleep-sets");
   opt.reduction.symmetry = a.has("reduce") || a.has("symmetry");
   opt.max_states = a.num("max-states", 2'000'000);
-  if (a.has("mem")) opt.mem = MemBudget::parse(a.flags.at("mem"));
+  if (a.has("mem")) opt.mem = env::mem_budget_or(a.flags.at("mem"));
   const auto res = explore(
       *world, opt, {},
       [&](const World& w) -> std::optional<std::string> {

@@ -15,7 +15,11 @@
 //   MEMU_MEM_BUDGET          default --mem for memu_sweep / bench tools
 #pragma once
 
+#include <unistd.h>
+
+#include <charconv>
 #include <cstdlib>
+#include <fstream>
 #include <optional>
 #include <string>
 
@@ -60,18 +64,66 @@ inline std::uint64_t u64_or(const char* name, std::uint64_t fallback) {
   return u64(name).value_or(fallback);
 }
 
+// What a --mem budget is checked against, in bytes (0 = unknown or
+// unlimited). A budget is a hard cap the tools plan around, so one the
+// machine cannot back (--mem 64G on an 8 GB box) would OOM mid-run.
+struct MemLimits {
+  std::uint64_t phys_bytes = 0;
+  std::uint64_t cgroup_bytes = 0;
+};
+
+// A cgroup v2 memory.max file holds a byte count or "max"; anything but a
+// count, or no file, reads as 0.
+inline std::uint64_t read_cgroup_limit(const char* path) {
+  std::ifstream in(path);
+  std::string text;
+  in >> text;
+  const char* const last = text.data() + text.size();
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  return ec == std::errc{} && end == last ? v : 0;
+}
+
+// Physical RAM (sysconf) and this process's cgroup v2 memory.max.
+inline MemLimits machine_mem_limits() {
+  const long pages = sysconf(_SC_PHYS_PAGES), page = sysconf(_SC_PAGESIZE);
+  MemLimits l{0, read_cgroup_limit("/sys/fs/cgroup/memory.max")};
+  if (pages > 0 && page > 0) l.phys_bytes = std::uint64_t(pages) * page;
+  return l;
+}
+
+// Throws ContractError when a bounded `mem` exceeds either limit, naming
+// the budget and the limit (mccortex's cmd_check_mem_limit, up front).
+// Limits print in the --mem grammar, so the number can be passed back.
+inline void check_mem_limit(const MemBudget& mem, const MemLimits& limits) {
+  if (!mem.bounded()) return;
+  const std::string want = "--mem " + mem.to_string() + " is more than the ";
+  MEMU_CHECK_MSG(limits.phys_bytes == 0 || mem.total <= limits.phys_bytes,
+                 want << MemBudget{limits.phys_bytes}.to_string()
+                      << " of physical RAM");
+  MEMU_CHECK_MSG(limits.cgroup_bytes == 0 || mem.total <= limits.cgroup_bytes,
+                 want << MemBudget{limits.cgroup_bytes}.to_string()
+                      << " cgroup memory limit");
+}
+
 // Resolves a memory budget under the flag-wins rule:
 //   --mem FLAG        wins outright,
 //   MEMU_MEM_BUDGET   applies when no flag was given,
 //   fallback          when neither is set.
 // Both sources go through MemBudget::parse, so a malformed value from
-// either fails loudly with the same grammar diagnostic.
+// either fails loudly with the same grammar diagnostic, and the result
+// must fit `limits` (check_mem_limit).
 inline MemBudget mem_budget_or(const std::optional<std::string>& flag,
-                               MemBudget fallback = MemBudget{}) {
-  if (flag.has_value()) return MemBudget::parse(*flag);
-  const auto e = raw(kMemBudget);
-  if (e.has_value()) return MemBudget::parse(*e);
-  return fallback;
+                               MemBudget fallback = MemBudget{},
+                               const MemLimits& limits = machine_mem_limits()) {
+  MemBudget mem = fallback;
+  if (flag.has_value()) {
+    mem = MemBudget::parse(*flag);
+  } else if (const auto e = raw(kMemBudget); e.has_value()) {
+    mem = MemBudget::parse(*e);
+  }
+  check_mem_limit(mem, limits);
+  return mem;
 }
 
 }  // namespace memu::env

@@ -1,6 +1,5 @@
 #include "engine/frontier.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -20,21 +19,56 @@ namespace memu::engine {
 
 namespace {
 
-// A compressed frontier entry: a shared base snapshot, the full delivery
-// path from the initial state (the replayable counterexample prefix), and
-// the number of leading path steps the base has already applied. The
-// node's World is not stored; popping it copies the base (COW — pointer
-// bumps) and replays path[base_depth, end) to reconstitute the state.
-// Bases are immutable once published: workers copy them, never mutate
-// them, so sharing one snapshot across threads is safe.
+// An expanded state, shared by the frontier nodes it generated: `world` is
+// reached by delivering `step` from `parent`'s world, `depth` steps from
+// the initial state (the root has depth 0 and no parent). The parent links
+// are the delivery path, walked only for a violation or a spill batch.
+// Snapshots are immutable once published, so threads share them safely.
+// Links rebuilt for a reloaded spill batch hold an empty world: nothing
+// pops from them.
+struct Snapshot {
+  World world;
+  mutable std::shared_ptr<const Snapshot> parent;  // unlinked only in ~Snapshot
+  ExploreStep step;
+  std::size_t depth = 0;
+
+  // Releases sole-owned ancestors one at a time: dropping a chain through
+  // nested destructors would recurse once per level and overflow the
+  // stack on paths of a million steps.
+  ~Snapshot() {
+    std::shared_ptr<const Snapshot> p = std::move(parent);
+    while (p != nullptr && p.use_count() == 1) p = std::move(p->parent);
+  }
+};
+
+// A frontier entry: one delivery past an expanded parent. Popping it copies
+// parent->world (COW — pointer bumps) and delivers `step`, so every pop
+// replays exactly one step. The root node has no parent (and no step).
 struct Node {
-  std::shared_ptr<const World> base;
-  std::size_t base_depth = 0;
-  std::vector<ExploreStep> path;
+  std::shared_ptr<const Snapshot> parent;
+  ExploreStep step;
   // Sleep set (engine/dpor.h): steps whose interleavings an earlier
   // sibling branch already covers. Always empty when reduction is off.
   std::vector<ExploreStep> sleep;
 };
+
+// The delivery path from the initial state to `snap`'s world. (A rebuilt
+// chain's depth-1 link has no parent; the regular chain ends at the root.)
+std::vector<ExploreStep> path_to(const Snapshot& snap) {
+  std::vector<ExploreStep> path(snap.depth);
+  for (const Snapshot* s = &snap; s != nullptr && s->depth > 0;
+       s = s->parent.get())
+    path[s->depth - 1] = s->step;
+  return path;
+}
+
+// The delivery path from the initial state to `node`'s state.
+std::vector<ExploreStep> path_of(const Node& node) {
+  if (node.parent == nullptr) return {};
+  std::vector<ExploreStep> path = path_to(*node.parent);
+  path.push_back(node.step);
+  return path;
+}
 
 class Search {
  public:
@@ -50,7 +84,7 @@ class Search {
                   opt.dedupe ? visited_budget(opt) : 0}) {}
 
   ExploreResult run(const World& initial) {
-    root_ = std::make_shared<const World>(initial);
+    root_ = initial;
     sleep_on_ = opt_.reduction.sleep_sets;
     if (sleep_on_) server_mask_ = dpor::server_mask(initial);
     // Symmetry engages only when the root World is eligible; crashes and
@@ -64,7 +98,7 @@ class Search {
       plain_seen_ = std::make_unique<VisitedSet>(
           VisitedSet::Options{false, shard_count(opt_), 0});
     }
-    Node root{root_, 0, {}, {}};
+    Node root;
     if (opt_.threads <= 1) {
       push_bytes(root);
       frontier_.push_back(std::move(root));
@@ -93,8 +127,10 @@ class Search {
     result.sleep_blocked = sleep_blocked_.load();
     result.symmetry_merged = symmetry_merged_.load();
     result.symmetry_applied = symmetry_on_;
-    result.replay_steps = replay_steps_.load();
-    result.max_pop_replay = max_pop_replay_.load();
+    // Every non-root pop delivers exactly one step, and counts one
+    // transition; reloads add their replayed prefixes.
+    result.replay_steps = result.transitions + reload_steps_.load();
+    result.max_pop_replay = result.transitions != 0 ? 1 : 0;
     result.complete = complete_.load() && !aborted_.load();
     {
       std::lock_guard<std::mutex> lock(violation_mu_);
@@ -120,13 +156,12 @@ class Search {
     return opt.mem.total / 2;
   }
 
-  // Frontier memory accounting: the node struct plus its path storage.
+  // Frontier memory accounting: the node struct plus its sleep set.
   // Deliberately based on size(), not capacity(), so the accounting — and
   // therefore every spill decision — is identical across allocators and
   // stdlib growth policies.
   static std::size_t node_bytes(const Node& n) {
-    return sizeof(Node) +
-           (n.path.size() + n.sleep.size()) * sizeof(ExploreStep);
+    return sizeof(Node) + n.sleep.size() * sizeof(ExploreStep);
   }
 
   void push_bytes(const Node& n) {
@@ -139,13 +174,12 @@ class Search {
 
   void pop_bytes(const Node& n) { frontier_bytes_.fetch_sub(node_bytes(n)); }
 
-  void record_violation(const std::string& why,
-                        const std::vector<ExploreStep>& path) {
+  void record_violation(const std::string& why, const Node& node) {
     std::lock_guard<std::mutex> lock(violation_mu_);
     if (ok_) {
       ok_ = false;
       violation_ = why;
-      violation_path_ = path;
+      violation_path_ = path_of(node);
     }
     if (opt_.stop_at_first_violation) aborted_.store(true);
   }
@@ -229,24 +263,16 @@ class Search {
   // deterministic (channel, index) order; the caller decides where they go.
   template <class Emit>
   void visit(const Node& node, Emit&& emit) {
-    // Entry bookkeeping. The recursive DFS incremented `transitions` once
-    // per child call; counting at entry (non-root nodes only) yields the
-    // same totals in the same order, including under aborts.
-    if (!node.path.empty()) transitions_.fetch_add(1);
-
-    // Materialize: COW copy of the base snapshot plus replay of the step
-    // suffix. Delivery is deterministic, so this World is state-identical
-    // (and canonical-encoding byte-identical) to the one the uncompressed
-    // frontier used to carry.
-    World world = *node.base;
-    replay(world, node.path, node.base_depth, node.path.size());
-    if (const std::size_t replayed = node.path.size() - node.base_depth;
-        replayed != 0) {
-      replay_steps_.fetch_add(replayed);
-      std::size_t prev = max_pop_replay_.load();
-      while (replayed > prev &&
-             !max_pop_replay_.compare_exchange_weak(prev, replayed)) {
-      }
+    // Materialize: COW copy of the parent's World plus one delivery. The
+    // recursive DFS counted `transitions` once per child call; counting at
+    // entry (non-root nodes only) gives the same totals in the same order,
+    // including under aborts.
+    World world = node.parent != nullptr ? node.parent->world : root_;
+    std::size_t depth = 0;
+    if (node.parent != nullptr) {
+      transitions_.fetch_add(1);
+      world.deliver(node.step.chan, node.step.index);
+      depth = node.parent->depth + 1;
     }
 
     if (opt_.dedupe) {
@@ -260,7 +286,7 @@ class Search {
 
     if (invariant_) {
       if (const auto why = invariant_(world); why.has_value()) {
-        record_violation("invariant: " + *why, node.path);
+        record_violation("invariant: " + *why, node);
         if (aborted_.load()) return;
       }
     }
@@ -270,26 +296,20 @@ class Search {
       terminal_states_.fetch_add(1);
       if (terminal_) {
         if (const auto why = terminal_(world); why.has_value())
-          record_violation("terminal: " + *why, node.path);
+          record_violation("terminal: " + *why, node);
       }
       return;
     }
-    if (node.path.size() >= opt_.max_depth) {
+    if (depth >= opt_.max_depth) {
       complete_.store(false);
       depth_cut_.fetch_add(1);
       return;
     }
 
-    // Snapshot promotion: once the suffix children would inherit reaches
-    // the interval, retain this node's materialized World as their base so
-    // no pop ever replays more than snapshot_interval steps.
-    std::shared_ptr<const World> base = node.base;
-    std::size_t base_depth = node.base_depth;
-    const std::size_t interval = std::max<std::size_t>(1, opt_.snapshot_interval);
-    if (node.path.size() - node.base_depth + 1 > interval) {
-      base = std::make_shared<const World>(std::move(world));
-      base_depth = node.path.size();
-    }
+    // The expanded state becomes the shared parent of its children.
+    const auto snap = std::make_shared<const Snapshot>(
+        std::move(world), node.parent, node.step, depth);
+    const World& probe = snap->world;
 
     // Sleep-set filtering (engine/dpor.h): an enumerated step found in the
     // node's sleep set is skipped — every interleaving it starts is
@@ -302,24 +322,20 @@ class Search {
     std::vector<ExploreStep> acc;  // inherited sleep + earlier emitted steps
     if (sleep_on_) acc = node.sleep;
     const auto emit_step = [&](ChannelId chan, std::size_t index) {
+      const ExploreStep step{chan, index};
       if (!sleep_on_) {
-        emit(make_child(base, base_depth, node.path, chan, index));
+        emit(Node{snap, step, {}});
         return;
       }
-      const ExploreStep step{chan, index};
       if (dpor::sleeps(node.sleep, step)) {
         sleep_blocked_.fetch_add(1);
         return;
       }
-      Node child = make_child(base, base_depth, node.path, chan, index);
-      child.sleep = dpor::child_sleep(acc, step, server_mask_);
+      Node child{snap, step, dpor::child_sleep(acc, step, server_mask_)};
       acc.push_back(step);
       emit(std::move(child));
     };
     for (const ChannelId chan : chans) {
-      // `world` may be moved-from here; child generation reads only `base`
-      // (when promoted) or the parent's queues via `probe`.
-      const World& probe = base_depth == node.path.size() ? *base : world;
       if (!opt_.reorder) {
         // First allowed index (may be > 0 under value/bulk blocks).
         const std::size_t index = probe.first_deliverable_index(chan);
@@ -338,78 +354,59 @@ class Search {
     }
   }
 
-  static Node make_child(const std::shared_ptr<const World>& base,
-                         std::size_t base_depth,
-                         const std::vector<ExploreStep>& path, ChannelId chan,
-                         std::size_t index) {
-    Node child{base, base_depth, path, {}};
-    child.path.push_back({chan, index});
-    return child;
-  }
-
   SpillFile& spill_file() {
     if (spill_ == nullptr) spill_ = std::make_unique<SpillFile>();
     return *spill_;
   }
 
-  // Consumes `nodes[0, count)` — which must share one base snapshot, and
-  // therefore one path prefix [0, base_depth) — into a batch storing that
-  // prefix once plus per-node suffixes and sleep sets.
+  // Consumes `nodes[0, count)` — which must share one parent snapshot —
+  // into a batch storing the parent's path once plus each node's step and
+  // sleep set. The root node never spills (it is popped before anything
+  // else is queued), so every node has a parent.
   static SpillBatch make_batch(Node* nodes, std::size_t count) {
     SpillBatch batch;
-    const Node& first = nodes[0];
-    batch.prefix.assign(
-        first.path.begin(),
-        first.path.begin() + static_cast<std::ptrdiff_t>(first.base_depth));
+    batch.prefix = path_to(*nodes[0].parent);
     batch.entries.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       Node& n = nodes[i];
-      SpillEntry entry;
-      entry.suffix.assign(
-          n.path.begin() + static_cast<std::ptrdiff_t>(n.base_depth),
-          n.path.end());
-      entry.sleep = std::move(n.sleep);
-      batch.entries.push_back(std::move(entry));
+      batch.entries.push_back(SpillEntry{{n.step}, std::move(n.sleep)});
     }
     return batch;
   }
 
-  // Reconstitutes a reloaded batch: the shared prefix replays ONCE from
-  // the root into one fresh base snapshot all the batch's nodes share, so
-  // a reloaded node's pop replays only its spilled suffix — which the
-  // promotion rule had already bounded by snapshot_interval. (Reloading
-  // used to hand nodes the ROOT as base, silently replaying the whole
-  // path per pop on deep frontiers.)
-  template <class Sink>
-  void load_batch(SpillBatch& batch, Sink&& sink) {
-    std::shared_ptr<const World> base = root_;
-    if (!batch.prefix.empty()) {
-      World w = *root_;
-      replay(w, batch.prefix, 0, batch.prefix.size());
-      replay_steps_.fetch_add(batch.prefix.size());
-      base = std::make_shared<const World>(std::move(w));
+  // Reconstitutes a reloaded batch onto `out`: the shared prefix replays
+  // ONCE from the root into the batch's common parent snapshot, and the
+  // chain above it is rebuilt as path-only links so later violations and
+  // spills can still walk the full path. A reloaded node's pop then
+  // replays its one step, like any other pop.
+  void load_batch(SpillBatch& batch, std::vector<Node>& out) {
+    const std::vector<ExploreStep>& prefix = batch.prefix;
+    World world = root_;
+    replay(world, prefix, 0, prefix.size());
+    reload_steps_.fetch_add(prefix.size());
+    std::shared_ptr<const Snapshot> link;
+    for (std::size_t i = 0; i + 1 < prefix.size(); ++i) {
+      link = std::make_shared<const Snapshot>(World{}, std::move(link),
+                                              prefix[i], i + 1);
     }
+    const auto parent = std::make_shared<const Snapshot>(
+        std::move(world), std::move(link),
+        prefix.empty() ? ExploreStep{} : prefix.back(), prefix.size());
     for (SpillEntry& entry : batch.entries) {
-      Node node;
-      node.base = base;
-      node.base_depth = batch.prefix.size();
-      node.path = batch.prefix;
-      node.path.insert(node.path.end(), entry.suffix.begin(),
-                       entry.suffix.end());
-      node.sleep = std::move(entry.sleep);
-      sink(std::move(node));
+      MEMU_CHECK(entry.suffix.size() == 1);
+      out.push_back(Node{parent, entry.suffix[0], std::move(entry.sleep)});
+      push_bytes(out.back());
     }
-    batch.entries.clear();
   }
 
   // Sequential spill policy: when the accounted frontier bytes exceed the
   // budget, move the COLD FRONT of the LIFO vector — the nodes a pure DFS
   // would reach last — to disk, down to half budget (hysteresis so spills
-  // batch up instead of thrashing). Consecutive front nodes sharing a base
-  // snapshot spill as one batch (same base => same prefix). The hot tail
-  // stays in memory, so the pop order is untouched; batches return via
-  // reload_sequential() LIFO, exactly when the DFS would have reached
-  // them.
+  // batch up instead of thrashing). Consecutive front nodes sharing a
+  // parent snapshot spill as one batch (same parent => same prefix). The
+  // hot tail stays in memory, so the pop order is untouched; batches
+  // return via reload_sequential() LIFO, exactly when the DFS would have
+  // reached them.
   void maybe_spill_sequential() {
     if (frontier_budget_ == 0 ||
         frontier_bytes_.load() <= frontier_budget_)
@@ -425,7 +422,7 @@ class Search {
     std::size_t i = 0;
     while (i < take) {
       std::size_t j = i + 1;
-      while (j < take && frontier_[j].base == frontier_[i].base) ++j;
+      while (j < take && frontier_[j].parent == frontier_[i].parent) ++j;
       spill_file().spill(make_batch(frontier_.data() + i, j - i));
       i = j;
     }
@@ -439,11 +436,7 @@ class Search {
   bool reload_sequential() {
     SpillBatch batch;
     if (spill_ == nullptr || !spill_->reload(batch)) return false;
-    frontier_.reserve(frontier_.size() + batch.entries.size());
-    load_batch(batch, [&](Node&& node) {
-      push_bytes(node);
-      frontier_.push_back(std::move(node));
-    });
+    load_batch(batch, frontier_);
     return true;
   }
 
@@ -494,8 +487,8 @@ class Search {
   // spilling moves nodes between workers exactly like a steal does, so
   // those guarantees are unchanged.
   void spill_parallel(std::vector<Node>& children) {
-    // All children of one visit share the visiting node's (possibly
-    // promoted) base, so the whole batch carries one prefix.
+    // All children of one visit share the visiting node's snapshot, so
+    // the whole batch carries one prefix.
     std::size_t freed = 0;
     for (const Node& child : children) freed += node_bytes(child);
     const SpillBatch batch = make_batch(children.data(), children.size());
@@ -516,11 +509,7 @@ class Search {
     // Prefix replay happens outside the lock — one replay per batch, not
     // per node.
     std::vector<Node> nodes;
-    nodes.reserve(batch.entries.size());
-    load_batch(batch, [&](Node&& node) {
-      push_bytes(node);
-      nodes.push_back(std::move(node));
-    });
+    load_batch(batch, nodes);
     pool.submit(id, nodes);
     return true;
   }
@@ -561,8 +550,8 @@ class Search {
   std::size_t frontier_budget_ = 0;  // bytes; 0 = unbudgeted
   VisitedSet visited_;
 
-  std::shared_ptr<const World> root_;  // replay base for reloaded batches
-  std::vector<Node> frontier_;         // sequential mode only
+  World root_;                  // the initial state; reloads replay from it
+  std::vector<Node> frontier_;  // sequential mode only
 
   // --- partial-order reduction ---------------------------------------------
   bool sleep_on_ = false;
@@ -586,8 +575,7 @@ class Search {
   // Written once, after pool.run() returns (workers joined) — plain fields.
   std::size_t steal_batches_ = 0;
   std::size_t tasks_stolen_ = 0;
-  std::atomic<std::size_t> replay_steps_{0};
-  std::atomic<std::size_t> max_pop_replay_{0};
+  std::atomic<std::size_t> reload_steps_{0};  // prefix steps replayed
   std::atomic<bool> complete_{true};
   std::atomic<bool> aborted_{false};
 

@@ -8,13 +8,13 @@
 // stealing in parallel mode (owners pop LIFO from their own deque and
 // batch-push children locally; idle workers steal the shallowest node from
 // a random victim; termination is a single in-flight node counter).
-// Frontier nodes are compressed — a node holds a shared base World snapshot
-// plus its ExploreStep suffix and is reconstituted via engine::replay when
-// popped (see ExploreOptions::snapshot_interval). Deduplication runs
-// through engine::VisitedSet — keyed on World::state_hash(), the 64-bit
-// incremental fingerprint maintained through every mutation, so the default
-// mode performs zero canonical encodings per visited state; opt-in exact
-// mode keys on full canonical encodings instead.
+// A frontier node is its parent's shared snapshot plus one ExploreStep:
+// popping it copies the parent's World (COW) and delivers that one step.
+// Deduplication runs through engine::VisitedSet — keyed on
+// World::state_hash(), the 64-bit incremental fingerprint maintained
+// through every mutation, so the default mode performs zero canonical
+// encodings per visited state; opt-in exact mode keys on full canonical
+// encodings instead.
 //
 // Parallel-mode guarantees: on a run that completes within its bounds with
 // no violation, states_visited, terminal_states, transitions, deduped, and
@@ -67,21 +67,6 @@ struct ExploreOptions {
   // Visited-set shards; 0 = auto (engine::auto_shard_count — 1 when
   // sequential, scaling with the thread count in parallel mode).
   std::size_t dedupe_shards = 0;
-  // Frontier node compression: a node stores a shared base snapshot plus
-  // the ExploreStep suffix past it, and is reconstituted by engine::replay
-  // when popped. A node whose suffix has reached this length promotes its
-  // materialized World to a fresh snapshot for its children, bounding the
-  // replay work per pop. Purely a space/time knob — visit order, counters,
-  // and canonical encodings are identical for any value. 0 behaves as 1
-  // (snapshot at every node).
-  //
-  // Default 1: COW snapshots are pointer bumps, so re-delivering even one
-  // replay step costs more than snapshotting — measured ~3x throughput
-  // over the old default of 8 once the per-node canonical encoding was
-  // gone. Raise it to trade time for memory on breadth-heavy searches
-  // where many queued nodes keep their base snapshots alive.
-  std::size_t snapshot_interval = 1;
-
   // --- memory budget -------------------------------------------------------
   // Hard byte cap for the search's growing structures (`--mem` on the
   // tools). Unbounded (the default) preserves the grow-forever behavior.
@@ -139,9 +124,10 @@ struct ExploreResult {
   std::size_t dedupe_bytes = 0;
   std::size_t dedupe_entries = 0;  // states retained by the visited set
   bool exact_dedupe = false;       // mode behind dedupe_bytes (see above)
-  // Peak bytes of in-memory frontier nodes (node structs + paths; shared
-  // COW snapshots are slack, not metered here), and the disk-spill volume
-  // a frontier budget produced: batches written and nodes they carried.
+  // Peak bytes of in-memory frontier nodes (node structs + sleep sets;
+  // shared parent snapshots are slack, not metered here), and the
+  // disk-spill volume a frontier budget produced: batches written and
+  // nodes they carried.
   // Budgeted and unbudgeted runs of the same space may differ ONLY in
   // these telemetry fields — the semantic counters above are budget-
   // invariant by contract.
@@ -170,11 +156,11 @@ struct ExploreResult {
   // thread counts, and machines.
   std::size_t steal_batches = 0;
   std::size_t tasks_stolen = 0;
-  // Replay work: total steps re-delivered materializing popped nodes and
-  // reloaded spill batches, and the largest single-pop replay (bounded by
-  // snapshot_interval — spilled batches re-promote a shared base on
-  // reload, see engine/spill.h). Telemetry only: budgeted and unbudgeted
-  // runs of the same space legitimately differ here.
+  // Replay work: total steps delivered materializing popped nodes (one
+  // each) and reloaded spill batches (each replays its shared prefix once,
+  // see engine/spill.h), and the largest single-pop replay — 1 whenever
+  // any non-root node was popped. Telemetry only: budgeted and unbudgeted
+  // runs of the same space legitimately differ in replay_steps.
   std::size_t replay_steps = 0;
   std::size_t max_pop_replay = 0;
   bool complete = false;  // the whole space fit within the bounds

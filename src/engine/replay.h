@@ -36,11 +36,8 @@ class ReplayDriver : public ExecutionDriver {
 // violations inside World::deliver).
 std::size_t replay(World& world, const std::vector<ExploreStep>& script);
 
-// Applies the half-open range script[begin, end) to `world`. The explorer's
-// frontier compression reconstitutes nodes with this: a compressed node is
-// a shared base snapshot plus the step suffix recorded past it, and
-// materializing it replays only that suffix. No driver, no metering — this
-// is the exploration hot path.
+// Applies the half-open range script[begin, end) to `world`. No driver, no
+// metering: the explorer rebuilds reloaded spill batches with this.
 std::size_t replay(World& world, const std::vector<ExploreStep>& script,
                    std::size_t begin, std::size_t end);
 

@@ -1,23 +1,19 @@
 // SpillFile: disk overflow for frontier nodes under a --mem budget.
 //
-// A compressed frontier node is fully determined by its delivery path from
-// the initial state plus its sleep set (partial-order reduction state —
-// empty when reduction is off), so spilling costs 16 bytes a step and
-// reloading reconstitutes the node by replay. Nodes spill in batches that
-// share one PATH PREFIX: the explorer groups nodes by their base snapshot,
-// and nodes with the same base share path[0, base_depth) verbatim (children
-// copy their parent's path; promotion pins base_depth at the parent's path
-// length). The batch stores that prefix once plus each node's suffix past
-// it, and reload replays the prefix a single time into one shared base
-// snapshot — so a reloaded node's next pop replays only its suffix, keeping
-// the "no pop ever replays more than snapshot_interval steps" bound that a
-// root-based reload used to break on deep frontiers.
+// A frontier node is fully determined by its delivery path from the
+// initial state plus its sleep set (partial-order reduction state — empty
+// when reduction is off), so spilling costs 16 bytes a step and reloading
+// reconstitutes the node by replay. Nodes spill in batches that share one
+// parent snapshot, and so one PATH PREFIX: the parent's path. The batch
+// stores that prefix once plus each node's one-step suffix, and reload
+// replays the prefix a single time into one shared parent snapshot — so a
+// reloaded node's pop replays only its own step, like any other pop.
 //
 // Batches are strictly LIFO: reload() always returns the most recently
 // spilled batch, with its nodes in their original order. That discipline is
 // what lets the sequential explorer keep its DFS visit order byte-identical
 // at ANY budget: the frontier vector's cold front [0, k) moves to disk as
-// consecutive per-base batches, and when the in-memory tail drains, popping
+// consecutive per-parent batches, and when the in-memory tail drains, popping
 // the reloaded batches back-to-front continues exactly where an unbudgeted
 // run would have.
 //
@@ -36,14 +32,14 @@
 
 namespace memu::engine {
 
-// One spilled node: its path past the batch's shared prefix, and the sleep
-// set it carried (partial-order reduction; empty otherwise).
+// One spilled node: its path past the batch's shared prefix (one step),
+// and the sleep set it carried (partial-order reduction; empty otherwise).
 struct SpillEntry {
   std::vector<ExploreStep> suffix;
   std::vector<ExploreStep> sleep;
 };
 
-// One spill batch: nodes sharing the path prefix their common base
+// One spill batch: nodes sharing the path prefix their common parent
 // snapshot had already applied.
 struct SpillBatch {
   std::vector<ExploreStep> prefix;

@@ -1,14 +1,14 @@
-// ChannelTable: dense per-(src, dst) storage for in-flight messages, with
-// copy-on-write message blocks.
+// ChannelTable: sparse (src, dst)-keyed storage for in-flight messages,
+// with copy-on-write message blocks.
 //
-// The World used to keep channels in a std::map<ChannelId, std::deque>,
-// which meant a tree walk per deliverability query and a node-allocating
-// rebuild on every deep copy. The table flattens that: slot src * n + dst
-// holds a contiguous message block, and a sorted index of non-empty slots
-// preserves the deterministic (src, dst) iteration order the round-robin
-// scheduler and the canonical encoding rely on.
+// The explorer forks a World per transition, and at any moment only a
+// handful of the n^2 channels hold messages, so the table keeps ONLY the
+// non-empty channels, in one vector sorted by (src, dst): lookups are a
+// binary search, iteration in vector order is the deterministic (src, dst)
+// order the round-robin scheduler and the canonical encoding rely on, and
+// a fork costs one allocation plus a refcount bump per non-empty channel.
 //
-// A slot is a MsgQueue: a [begin, end) VIEW over a persistent CHAIN of
+// Each channel is a MsgQueue: a [begin, end) VIEW over a persistent CHAIN of
 // refcounted slab blocks of Messages (common/arena.h), newest block first —
 // the same shape as the oplog's chunk chain. Sharing a queue between copied
 // tables is one refcount bump, and — unlike the previous shared_ptr<vector>
@@ -243,26 +243,9 @@ class ChannelTable {
  public:
   using Queue = MsgQueue;
 
-  // Grows the table to hold n * n directed channels. Existing messages are
-  // re-slotted; relative (src, dst) order is preserved.
-  void resize_nodes(std::size_t n) {
-    if (n <= nodes_) return;
-    std::vector<MsgQueue> grown(n * n);
-    std::vector<std::uint32_t> active;
-    active.reserve(active_.size());
-    for (const std::uint32_t slot : active_) {
-      const std::uint32_t src = slot / static_cast<std::uint32_t>(nodes_);
-      const std::uint32_t dst = slot % static_cast<std::uint32_t>(nodes_);
-      const std::uint32_t re = src * static_cast<std::uint32_t>(n) + dst;
-      grown[re] = std::move(slots_[slot]);
-      active.push_back(re);  // src-major order is preserved by re-slotting
-    }
-    slots_ = std::move(grown);
-    active_ = std::move(active);
-    nodes_ = n;
-  }
-
-  std::size_t node_count() const { return nodes_; }
+  // Raises the node count endpoint checks accept. Channels are keyed by
+  // (src, dst), not by a slot index, so growing moves nothing.
+  void set_node_count(std::size_t n) { nodes_ = std::max(nodes_, n); }
 
   void push(ChannelId chan, Message msg) {
     // The payload carries its fingerprint (computed once, in make_msg);
@@ -270,28 +253,28 @@ class ChannelTable {
     // copy for the message's whole in-flight lifetime (including across
     // COW copies).
     if (msg.payload_fp == 0) msg.payload_fp = msg.payload->fingerprint();
-    const std::size_t slot = slot_of(chan);
-    MsgQueue& q = slots_[slot];
-    if (q.empty()) {
-      activate(static_cast<std::uint32_t>(slot));
+    const std::uint64_t key = key_of(chan);
+    auto it = lower_bound(entries_, key);
+    if (it == entries_.end() || it->key != key) {
+      it = entries_.insert(it, Entry{key, MsgQueue{}});
     } else {
-      content_hash_ ^= slot_component(chan, q);
+      content_hash_ ^= chan_component(chan, it->q);
     }
-    q.push_back(std::move(msg));
-    content_hash_ ^= slot_component(chan, q);
+    it->q.push_back(std::move(msg));
+    content_hash_ ^= chan_component(chan, it->q);
   }
 
   // Removes and returns the message at `index` on `chan`.
   Message pop(ChannelId chan, std::size_t index) {
-    const std::size_t slot = slot_of(chan);
-    MsgQueue& q = slots_[slot];
-    MEMU_CHECK(index < q.size());
-    content_hash_ ^= slot_component(chan, q);
-    Message msg = q.pop(index);
-    if (q.empty()) {
-      deactivate(static_cast<std::uint32_t>(slot));
+    const std::uint64_t key = key_of(chan);
+    const auto it = lower_bound(entries_, key);
+    MEMU_CHECK(it != entries_.end() && it->key == key && index < it->q.size());
+    content_hash_ ^= chan_component(chan, it->q);
+    Message msg = it->q.pop(index);
+    if (it->q.empty()) {
+      entries_.erase(it);
     } else {
-      content_hash_ ^= slot_component(chan, q);
+      content_hash_ ^= chan_component(chan, it->q);
     }
     return msg;
   }
@@ -299,8 +282,7 @@ class ChannelTable {
   // Incremental 64-bit hash of the full channel contents: XOR over
   // non-empty channels of a keyed fold of their message fingerprints, in
   // queue order. Maintained in O(queue depth) per push/pop; a component of
-  // World::state_hash(). Keys depend on (src, dst), not the slot index, so
-  // resize_nodes() leaves the hash unchanged.
+  // World::state_hash(). Keys depend only on (src, dst).
   std::uint64_t content_hash() const { return content_hash_; }
 
   // O(total payload bytes) from-scratch recomputation — the differential-
@@ -318,11 +300,13 @@ class ChannelTable {
     return h;
   }
 
-  // Non-empty queue for `chan`, or nullptr.
+  // Non-empty queue for `chan`, or nullptr. The pointer is invalidated by
+  // the next push or pop on any channel.
   const Queue* find(ChannelId chan) const {
     if (chan.src.value >= nodes_ || chan.dst.value >= nodes_) return nullptr;
-    const MsgQueue& q = slots_[chan.src.value * nodes_ + chan.dst.value];
-    return q.empty() ? nullptr : &q;
+    const std::uint64_t key = pack(chan);
+    const auto it = lower_bound(entries_, key);
+    return it != entries_.end() && it->key == key ? &it->q : nullptr;
   }
 
   std::size_t depth(ChannelId chan) const {
@@ -330,18 +314,18 @@ class ChannelTable {
     return q == nullptr ? 0 : q->size();
   }
 
-  std::size_t nonempty_count() const { return active_.size(); }
+  std::size_t nonempty_count() const { return entries_.size(); }
 
   std::size_t total_messages() const {
     std::size_t n = 0;
-    for (const std::uint32_t slot : active_) n += slots_[slot].size();
+    for (const Entry& e : entries_) n += e.q.size();
     return n;
   }
 
   // Visits non-empty channels in ascending (src, dst) order.
   template <class Fn>
   void for_each_nonempty(Fn&& fn) const {
-    for (const std::uint32_t slot : active_) fn(chan_of(slot), slots_[slot]);
+    for (const Entry& e : entries_) fn(unpack(e.key), e.q);
   }
 
   // Order-sensitive fold of `chan`'s queue contents (a fixed constant for
@@ -352,12 +336,36 @@ class ChannelTable {
     return q == nullptr ? statehash::kQueueFoldSeed : fold_queue(*q);
   }
 
-  ChannelId chan_of(std::uint32_t slot) const {
-    return ChannelId{NodeId{slot / static_cast<std::uint32_t>(nodes_)},
-                     NodeId{slot % static_cast<std::uint32_t>(nodes_)}};
+ private:
+  // One non-empty channel. Kept to a key plus a 24-byte view so the
+  // sorted-vector insert and erase move little.
+  struct Entry {
+    std::uint64_t key;  // src << 32 | dst: numeric order is (src, dst) order
+    MsgQueue q;
+  };
+
+  static std::uint64_t pack(ChannelId chan) {
+    return std::uint64_t{chan.src.value} << 32 | chan.dst.value;
+  }
+  static ChannelId unpack(std::uint64_t key) {
+    return ChannelId{NodeId{static_cast<std::uint32_t>(key >> 32)},
+                     NodeId{static_cast<std::uint32_t>(key)}};
   }
 
- private:
+  std::uint64_t key_of(ChannelId chan) const {
+    MEMU_CHECK(chan.src.value < nodes_ && chan.dst.value < nodes_);
+    return pack(chan);
+  }
+
+  // The first entry at or after `key` (binary search; const or not).
+  template <class Entries>
+  static auto lower_bound(Entries& entries, std::uint64_t key)
+      -> decltype(entries.begin()) {
+    return std::lower_bound(
+        entries.begin(), entries.end(), key,
+        [](const Entry& e, std::uint64_t k) { return e.key < k; });
+  }
+
   // Order-sensitive fold of a queue's message fingerprints: each step
   // mixes, so [a, b] and [b, a] fold differently and the fold length is
   // implicit. O(depth) — refolded on every push/pop of the queue, using
@@ -368,31 +376,14 @@ class ChannelTable {
     return h;
   }
 
-  static std::uint64_t slot_component(ChannelId chan, const Queue& q) {
+  static std::uint64_t chan_component(ChannelId chan, const Queue& q) {
     return mix64(statehash::chan_key(chan.src.value, chan.dst.value) ^
                  fold_queue(q));
   }
 
-  std::size_t slot_of(ChannelId chan) const {
-    MEMU_CHECK(chan.src.value < nodes_ && chan.dst.value < nodes_);
-    return chan.src.value * nodes_ + chan.dst.value;
-  }
-
-  void activate(std::uint32_t slot) {
-    const auto it = std::lower_bound(active_.begin(), active_.end(), slot);
-    active_.insert(it, slot);
-  }
-
-  void deactivate(std::uint32_t slot) {
-    const auto it = std::lower_bound(active_.begin(), active_.end(), slot);
-    MEMU_CHECK(it != active_.end() && *it == slot);
-    active_.erase(it);
-  }
-
   std::size_t nodes_ = 0;
-  std::vector<MsgQueue> slots_;        // nodes_^2 views, slot = src * n + dst
-  std::vector<std::uint32_t> active_;  // sorted slots with pending messages
-  std::uint64_t content_hash_ = 0;     // incremental; see content_hash()
+  std::vector<Entry> entries_;      // non-empty queues only, sorted by key
+  std::uint64_t content_hash_ = 0;  // incremental; see content_hash()
 };
 
 }  // namespace memu

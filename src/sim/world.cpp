@@ -22,34 +22,6 @@ std::uint64_t Context::next_op_id() { return world_.next_op_id(); }
 
 // ---- World ------------------------------------------------------------------
 
-World::World(const World& other)
-    : processes_(other.processes_),  // shared; detached on first mutation
-      channels_(other.channels_),
-      crashed_(other.crashed_),
-      frozen_(other.frozen_),
-      value_blocked_(other.value_blocked_),
-      bulk_blocked_(other.bulk_blocked_),
-      partition_(other.partition_),
-      oplog_(other.oplog_),
-      tracing_(other.tracing_),
-      trace_(other.trace_),
-      step_count_(other.step_count_),
-      next_op_id_(other.next_op_id_),
-      sets_hash_(other.sets_hash_),
-      procs_hash_(other.procs_hash_),
-      proc_comp_(other.proc_comp_),
-      proc_dirty_(other.proc_dirty_),
-      any_proc_dirty_(other.any_proc_dirty_) {
-  cowstats::note_world_copy();
-}
-
-World& World::operator=(const World& other) {
-  if (this == &other) return *this;
-  World copy(other);
-  *this = std::move(copy);
-  return *this;
-}
-
 // Placement-copies `p` into a slot of this thread's slab pool. Process
 // hierarchies are single-inheritance with Process first, so the base-class
 // pointer clone_into returns is the payload address SlabRef frees through;
@@ -63,20 +35,18 @@ static SlabRef<Process> clone_to_slab(const Process& p) {
 
 NodeId World::add_process(std::unique_ptr<Process> p) {
   MEMU_CHECK(p != nullptr);
-  const NodeId id{static_cast<std::uint32_t>(processes_.size())};
+  const NodeId id{static_cast<std::uint32_t>(procs_.size())};
   p->set_id(id);
-  processes_.push_back(clone_to_slab(*p));
-  channels_.resize_nodes(processes_.size());
+  procs_.push_back(Proc{clone_to_slab(*p)});
+  channels_.set_node_count(procs_.size());
   // The new process's hash component is settled lazily, like any mutation.
-  proc_comp_.push_back(0);
-  proc_dirty_.push_back(0);
   mark_proc_dirty(id);
   return id;
 }
 
 Process& World::mutable_process(NodeId id) {
-  MEMU_CHECK_MSG(id.value < processes_.size(), "unknown process " << id);
-  SlabRef<Process>& p = processes_[id.value];
+  MEMU_CHECK_MSG(id.value < procs_.size(), "unknown process " << id);
+  SlabRef<Process>& p = procs_[id.value].ref;
   // use_count() == 1 means this World is the sole owner: other Worlds can
   // only reach the block through their own process vectors, so no thread
   // can re-acquire it concurrently (the standard COW exclusivity argument;
@@ -95,19 +65,19 @@ Process& World::mutable_process(NodeId id) {
 Process& World::process(NodeId id) { return mutable_process(id); }
 
 const Process& World::process(NodeId id) const {
-  MEMU_CHECK_MSG(id.value < processes_.size(), "unknown process " << id);
-  return *processes_[id.value];
+  MEMU_CHECK_MSG(id.value < procs_.size(), "unknown process " << id);
+  return *procs_[id.value].ref;
 }
 
 std::vector<NodeId> World::server_ids() const {
   std::vector<NodeId> out;
-  for (const auto& p : processes_)
-    if (p->is_server()) out.push_back(p->id());
+  for (const Proc& p : procs_)
+    if (p.ref->is_server()) out.push_back(p.ref->id());
   return out;
 }
 
 void World::crash(NodeId id) {
-  MEMU_CHECK(id.value < processes_.size());
+  MEMU_CHECK(id.value < procs_.size());
   toggle(crashed_.insert(id), statehash::kCrashedSeed, id);
 }
 
@@ -115,8 +85,8 @@ void World::enqueue(ChannelId chan, MessagePtr payload) {
   // Messages from a crashed node are never produced (a crashed node takes no
   // steps), but a node may legitimately send and then crash in the same
   // adversary script; enqueuing checks only validity of endpoints.
-  MEMU_CHECK(chan.src.value < processes_.size());
-  MEMU_CHECK(chan.dst.value < processes_.size());
+  MEMU_CHECK(chan.src.value < procs_.size());
+  MEMU_CHECK(chan.dst.value < procs_.size());
   channels_.push(chan, Message{std::move(payload), 0});
 }
 
@@ -233,7 +203,7 @@ void World::deliver(ChannelId chan, std::size_t index) {
   // duplicate ack — see Process::ignores) leaves a byte-identical state
   // without running the handler, so skip the COW detach and the dirty-mark
   // a mutable_process() call would charge for nothing.
-  if (processes_[chan.dst.value]->ignores(chan.src, *msg.payload)) return;
+  if (procs_[chan.dst.value].ref->ignores(chan.src, *msg.payload)) return;
 
   Context ctx(*this, chan.dst);
   mutable_process(chan.dst).on_message(ctx, chan.src, *msg.payload);
@@ -272,7 +242,7 @@ void World::log_fault(const std::string& description) {
 }
 
 void World::invoke(NodeId client, Invocation inv) {
-  MEMU_CHECK(client.value < processes_.size());
+  MEMU_CHECK(client.value < procs_.size());
   MEMU_CHECK_MSG(!crashed_.contains(client), "invocation at crashed " << client);
   ++step_count_;
   Context ctx(*this, client);
@@ -281,16 +251,17 @@ void World::invoke(NodeId client, Invocation inv) {
 
 StateBits World::total_server_storage() const {
   StateBits total;
-  for (const auto& p : processes_)
-    if (p->is_server() && !crashed_.contains(p->id())) total += p->state_size();
+  for (const Proc& p : procs_)
+    if (p.ref->is_server() && !crashed_.contains(p.ref->id()))
+      total += p.ref->state_size();
   return total;
 }
 
 StateBits World::max_server_storage() const {
   StateBits best;
-  for (const auto& p : processes_) {
-    if (!p->is_server() || crashed_.contains(p->id())) continue;
-    const StateBits s = p->state_size();
+  for (const Proc& p : procs_) {
+    if (!p.ref->is_server() || crashed_.contains(p.ref->id())) continue;
+    const StateBits s = p.ref->state_size();
     if (s.total() > best.total()) best = s;
   }
   return best;
@@ -298,9 +269,9 @@ StateBits World::max_server_storage() const {
 
 double World::max_server_value_bits() const {
   double best = 0.0;
-  for (const auto& p : processes_) {
-    if (!p->is_server() || crashed_.contains(p->id())) continue;
-    const double v = p->state_size().value_bits;
+  for (const Proc& p : procs_) {
+    if (!p.ref->is_server() || crashed_.contains(p.ref->id())) continue;
+    const double v = p.ref->state_size().value_bits;
     if (v > best) best = v;
   }
   return best;
@@ -320,8 +291,8 @@ void World::encode_canonical(Bytes& out) const {
 
 void World::encode_canonical_into(BufWriter& w) const {
   cowstats::note_canonical_encoding();
-  w.u64(processes_.size());
-  for (const auto& p : processes_) w.bytes(p->encode_state());
+  w.u64(procs_.size());
+  for (const Proc& p : procs_) w.bytes(p.ref->encode_state());
   w.u64(channels_.nonempty_count());
   channels_.for_each_nonempty(
       [&](ChannelId chan, const ChannelTable::Queue& queue) {
@@ -352,7 +323,7 @@ void World::encode_canonical_into(BufWriter& w) const {
 
 void World::encode_canonical_relabeled(const std::vector<std::uint32_t>& map,
                                        Bytes& out) const {
-  MEMU_CHECK(map.size() == processes_.size());
+  MEMU_CHECK(map.size() == procs_.size());
   cowstats::note_canonical_encoding();
   BufWriter w(std::move(out));
   const NodeRelabeling rank(&map);
@@ -360,11 +331,11 @@ void World::encode_canonical_relabeled(const std::vector<std::uint32_t>& map,
   // order a physically relabeled World would hold them.
   std::vector<std::uint32_t> inverse(map.size());
   for (std::uint32_t i = 0; i < map.size(); ++i) inverse[map[i]] = i;
-  w.u64(processes_.size());
+  w.u64(procs_.size());
   Bytes scratch;
   for (const std::uint32_t original : inverse) {
     BufWriter proc(std::move(scratch));  // clear, keep capacity across procs
-    processes_[original]->encode_state_relabeled(rank, proc);
+    procs_[original].ref->encode_state_relabeled(rank, proc);
     w.bytes(proc.data());
     scratch = std::move(proc).take();
   }
@@ -416,15 +387,15 @@ void World::encode_canonical_relabeled(const std::vector<std::uint32_t>& map,
 
 void World::flush_proc_hashes() const {
   if (!any_proc_dirty_) return;
-  for (std::size_t i = 0; i < proc_dirty_.size(); ++i) {
-    if (!proc_dirty_[i]) continue;
-    proc_dirty_[i] = 0;
-    procs_hash_ ^= proc_comp_[i];  // XOR out the stale component (0 if new)
+  for (std::size_t i = 0; i < procs_.size(); ++i) {
+    const Proc& p = procs_[i];
+    if (!p.dirty) continue;
+    p.dirty = 0;
+    procs_hash_ ^= p.comp;  // XOR out the stale component (0 if new)
     BufWriter fp = BufWriter::hashing();
-    processes_[i]->encode_state(fp);
-    proc_comp_[i] =
-        statehash::component(statehash::kProcSeed, i, fp.fingerprint());
-    procs_hash_ ^= proc_comp_[i];
+    p.ref->encode_state(fp);
+    p.comp = statehash::component(statehash::kProcSeed, i, fp.fingerprint());
+    procs_hash_ ^= p.comp;
   }
   any_proc_dirty_ = false;
 }
@@ -440,9 +411,9 @@ std::uint64_t World::state_hash() const {
 
 std::uint64_t World::recompute_state_hash() const {
   std::uint64_t procs = 0;
-  for (std::size_t i = 0; i < processes_.size(); ++i) {
-    procs ^= statehash::component(
-        statehash::kProcSeed, i, fingerprint64(processes_[i]->encode_state()));
+  for (std::size_t i = 0; i < procs_.size(); ++i) {
+    procs ^= statehash::component(statehash::kProcSeed, i,
+                                  fingerprint64(procs_[i].ref->encode_state()));
   }
   std::uint64_t sets = 0;
   const auto fold_set = [&sets](const NodeSet& s, std::uint64_t seed) {

@@ -6,9 +6,11 @@
 // the paper: "extend execution alpha from point P" becomes "clone the World
 // at P and keep stepping the clone". Physically a copy is copy-on-write:
 // per-process state, channel queues, and the oplog sit behind shared blocks
-// that deep-copy only when one side mutates, so World(const World&) is
-// O(#processes) pointer bumps — the explorer and the valency probes fork
-// Worlds once per transition and would otherwise pay a full clone each time.
+// that deep-copy only when one side mutates, so World(const World&) is two
+// allocations (the per-process slot array and the non-empty channel list)
+// plus O(#processes + #non-empty channels) refcount bumps — the explorer
+// and the valency probes fork Worlds once per transition and would
+// otherwise pay a full clone each time.
 // Scheduling is external (see scheduler.h): the World only exposes what is
 // deliverable and applies chosen steps, so an adversary has full control of
 // asynchrony.
@@ -42,8 +44,8 @@ class World {
   // blocks with `other` until either side mutates them (message payloads
   // are immutable and always shared). Crash/freeze sets, trace, and
   // counters are copied eagerly — they are flat and cheap.
-  World(const World& other);
-  World& operator=(const World& other);
+  World(const World&) = default;
+  World& operator=(const World&) = default;
   World(World&&) = default;
   World& operator=(World&&) = default;
 
@@ -55,7 +57,7 @@ class World {
   // must re-fetch it via process(id) after adding.
   NodeId add_process(std::unique_ptr<Process> p);
 
-  std::size_t process_count() const { return processes_.size(); }
+  std::size_t process_count() const { return procs_.size(); }
 
   // Mutable access detaches the process from any sharing World copies
   // (COW); use the const overload for read-only inspection.
@@ -319,7 +321,7 @@ class World {
   // state_hash() call. Every mutating process access funnels through
   // mutable_process, which calls this.
   void mark_proc_dirty(NodeId id) const {
-    proc_dirty_[id.value] = 1;
+    procs_[id.value].dirty = 1;
     any_proc_dirty_ = true;
   }
 
@@ -335,13 +337,32 @@ class World {
   // process()) go through here.
   Process& mutable_process(NodeId id);
 
-  // Processes are shared between World copies until one side mutates
-  // (copy-on-write via mutable_process). Each block lives in a refcounted
-  // slab slot (common/arena.h) sized to the concrete process, so a fork is
-  // a header refcount bump and a detach is one pool allocation — no
-  // shared_ptr control blocks, no per-clone malloc.
-  std::vector<SlabRef<Process>> processes_;
-  ChannelTable channels_;   // dense (src, dst)-indexed message queues
+  // Counts every copy (construction or assignment) in cowstats, so the
+  // World's own copy operations can stay defaulted.
+  struct CopyMeter {
+    CopyMeter() = default;
+    CopyMeter(const CopyMeter&) { cowstats::note_world_copy(); }
+    CopyMeter(CopyMeter&&) = default;
+    CopyMeter& operator=(const CopyMeter&) {
+      cowstats::note_world_copy();
+      return *this;
+    }
+    CopyMeter& operator=(CopyMeter&&) = default;
+  };
+
+  // One slot per process, indexed by id, so a fork copies one array. The
+  // process block is shared between World copies until one side mutates
+  // (copy-on-write via mutable_process) and lives in a refcounted slab
+  // slot sized to the concrete process (common/arena.h). `comp` is its
+  // settled state-hash component and `dirty` flags a stale one; mutable
+  // because state_hash() is logically const but memoizes the flush.
+  struct Proc {
+    SlabRef<Process> ref;
+    mutable std::uint64_t comp = 0;
+    mutable std::uint8_t dirty = 0;
+  };
+  std::vector<Proc> procs_;
+  ChannelTable channels_;   // sparse (src, dst)-sorted message queues
   NodeSet crashed_;         // flat bitsets: hot-path membership + cheap copy
   NodeSet frozen_;
   NodeSet value_blocked_;
@@ -356,15 +377,10 @@ class World {
   // --- incremental state hash (see state_hash()) ---------------------------
   // Failure-set membership components, updated eagerly (O(1) per toggle).
   std::uint64_t sets_hash_ = 0;
-  // XOR of the settled per-process components; proc_comp_[i] is the
-  // component currently folded in for process i, proc_dirty_[i] flags a
-  // mutated process whose component is stale. Mutable: state_hash() is
-  // logically const but memoizes the flush. A byte vector (not
-  // vector<bool>) so flushing scans flat storage.
+  // XOR of the settled per-process components (Proc::comp).
   mutable std::uint64_t procs_hash_ = 0;
-  mutable std::vector<std::uint64_t> proc_comp_;
-  mutable std::vector<std::uint8_t> proc_dirty_;
   mutable bool any_proc_dirty_ = false;
+  CopyMeter copy_meter_;
 };
 
 }  // namespace memu

@@ -4,8 +4,10 @@
 #include "engine/frontier.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include "algo/abd/system.h"
+#include "engine/replay.h"
 #include "sim/cow_stats.h"
 #include "sim/explorer.h"
 
@@ -118,7 +120,8 @@ TEST(FrontierSearch, AccountingIdentityOnAbd) {
   expect_accounting_identity(res);
 }
 
-ExploreResult explore_abd(const ExploreOptions& opt) {
+// ABD N=3 f=1 with one write and one read invoked concurrently.
+World abd_world() {
   abd::Options aopt;
   aopt.n_servers = 3;
   aopt.f = 1;
@@ -128,7 +131,37 @@ ExploreResult explore_abd(const ExploreOptions& opt) {
   sys.world.invoke(sys.writers[0],
                    {OpType::kWrite, unique_value(1, 1, aopt.value_size)});
   sys.world.invoke(sys.readers[0], {OpType::kRead, {}});
-  return engine::frontier_search(sys.world, opt, {}, {});
+  return sys.world;
+}
+
+ExploreResult explore_abd(const ExploreOptions& opt) {
+  return engine::frontier_search(abd_world(), opt, {}, {});
+}
+
+// A violation message naming the state it fired at, so a replay of the
+// reported path can be checked against the exact state.
+std::string state_tag(const World& w) {
+  return "state " + std::to_string(w.state_hash());
+}
+
+// Invariant failing at the nth state it checks. Not thread-safe: for
+// sequential runs, whose visit order is deterministic.
+StateCheck fail_at(std::size_t nth) {
+  return [countdown = nth](const World& w) mutable
+         -> std::optional<std::string> {
+    if (countdown-- == 0) return state_tag(w);
+    return std::nullopt;
+  };
+}
+
+// Replaying the violation path from `initial` must land on the state the
+// invariant reported.
+void expect_path_reaches_violation(const World& initial,
+                                   const ExploreResult& r) {
+  ASSERT_FALSE(r.ok);
+  World w = initial;
+  engine::replay(w, r.violation_path);
+  EXPECT_EQ(r.violation, "invariant: " + state_tag(w));
 }
 
 TEST(FrontierSearch, ParallelMatchesSequentialOnAbd) {
@@ -214,27 +247,6 @@ TEST(FrontierSearch, AccountingIdentityHoldsUnderParallelTruncation) {
     EXPECT_GT(r.truncated, 0u) << "threads=" << threads;
     EXPECT_GE(r.states_visited, opt.max_states) << "threads=" << threads;
     expect_accounting_identity(r);
-  }
-}
-
-TEST(FrontierSearch, SnapshotIntervalDoesNotChangeCountersOrOutcome) {
-  // Frontier compression is a space/time knob only: snapshotting at every
-  // node, at the default interval, and never (root snapshot + full-path
-  // replay) must produce identical counters and outcome.
-  ExploreOptions every;
-  every.snapshot_interval = 1;
-  ExploreOptions rarely;
-  rarely.snapshot_interval = 1000;
-  const auto a = explore_abd(ExploreOptions{});
-  const auto b = explore_abd(every);
-  const auto c = explore_abd(rarely);
-  for (const auto* r : {&b, &c}) {
-    EXPECT_EQ(a.states_visited, r->states_visited);
-    EXPECT_EQ(a.terminal_states, r->terminal_states);
-    EXPECT_EQ(a.transitions, r->transitions);
-    EXPECT_EQ(a.deduped, r->deduped);
-    EXPECT_EQ(a.complete, r->complete);
-    EXPECT_EQ(a.ok, r->ok);
   }
 }
 
@@ -325,11 +337,66 @@ TEST(FrontierSearch, SpillingFrontierIsByteIdenticalToUnbudgeted) {
   ASSERT_EQ(base.spill_batches, 0u);
 
   ExploreOptions tight;
-  tight.frontier_budget_bytes = 4096;  // far below the ~100 KB peak
+  tight.frontier_budget_bytes = 1024;  // under half the 2,240 B peak
   const auto spilled = explore_abd(tight);
   EXPECT_GT(spilled.spill_batches, 0u);
   EXPECT_GT(spilled.spilled_nodes, 0u);
   expect_same_semantics(base, spilled);
+}
+
+TEST(FrontierSearch, MaximalSpillingDoesNotChangeCountersOrViolationPath) {
+  // Nodes carry no paths: a spilled node's path is walked off its parent
+  // snapshot chain, and a reloaded batch rebuilds that chain by replaying
+  // its prefix. A one-byte budget spills every node but the hottest after
+  // every visit, so most pops follow a reload; counters and the violation
+  // path must still equal the unbudgeted run's.
+  ExploreOptions spilled;
+  spilled.frontier_budget_bytes = 1;
+  const auto a = explore_abd(ExploreOptions{});
+  const auto b = explore_abd(spilled);
+  ASSERT_TRUE(a.complete);
+  EXPECT_GT(b.spill_batches, 0u);
+  expect_same_semantics(a, b);
+
+  const World w = abd_world();
+  const auto c =
+      engine::frontier_search(w, ExploreOptions{}, fail_at(3000), {});
+  const auto d = engine::frontier_search(w, spilled, fail_at(3000), {});
+  EXPECT_GT(d.spill_batches, 0u);
+  expect_same_semantics(c, d);
+  expect_path_reaches_violation(w, c);
+  expect_path_reaches_violation(w, d);
+}
+
+TEST(FrontierSearch, ViolationPathReplaysToTheViolatingState) {
+  // The path is rebuilt from the snapshot chain only when a violation is
+  // recorded; in every mode it must replay to the state that failed.
+  const World w = abd_world();
+  ExploreOptions seq;
+  ExploreOptions seq_spilled;
+  seq_spilled.frontier_budget_bytes = 64;
+  for (const ExploreOptions& opt : {seq, seq_spilled}) {
+    const auto r = engine::frontier_search(w, opt, fail_at(700), {});
+    EXPECT_EQ(r.spill_batches > 0, opt.frontier_budget_bytes != 0);
+    expect_path_reaches_violation(w, r);
+  }
+  // Parallel runs may report any failing state, so the invariant is a
+  // pure function of the state: both operations have responded.
+  const StateCheck both_done =
+      [](const World& world) -> std::optional<std::string> {
+    if (world.oplog().responses_since(0) >= 2) return state_tag(world);
+    return std::nullopt;
+  };
+  ExploreOptions par;
+  par.threads = 4;
+  ExploreOptions par_spilled = par;
+  par_spilled.frontier_budget_bytes = 64;
+  for (const ExploreOptions& opt : {par, par_spilled}) {
+    const auto r = engine::frontier_search(w, opt, both_done, {});
+    EXPECT_EQ(r.spill_batches > 0, opt.frontier_budget_bytes != 0);
+    EXPECT_GT(r.violation_path.size(), 0u);
+    expect_path_reaches_violation(w, r);
+  }
 }
 
 TEST(FrontierSearch, SpillKeepsTheViolationPathIdentical) {
@@ -428,26 +495,78 @@ TEST(FrontierSearch, DepthCutSurvivesParallelAndBudgetedRuns) {
 }
 
 TEST(FrontierSearch, SpilledNodesReplayFromASharedBaseNotFromRoot) {
-  // The spill replay-bound bugfix: reloaded batches used to rebuild every
-  // node by replaying its ENTIRE path from the root World, making replay
-  // cost grow with depth and defeating snapshot_interval. A reloaded
-  // batch now re-promotes one shared base, so the largest single-pop
-  // replay stays bounded by snapshot_interval even when the whole
-  // frontier cycles through disk.
+  // Every pop copies its parent's snapshot and delivers one step. A
+  // reloaded batch replays its shared prefix once into a rebuilt parent,
+  // so its nodes pop the same way: no single pop replays more than one
+  // step, however deep the frontier that cycles through disk.
   ExploreOptions opt;
-  opt.snapshot_interval = 3;
-  opt.frontier_budget_bytes = 2048;  // forces heavy spill/reload cycling
+  opt.frontier_budget_bytes = 1024;  // forces heavy spill/reload cycling
   const auto r = explore_abd(opt);
   ASSERT_GT(r.spill_batches, 0u);
-  ASSERT_GT(r.replay_steps, 0u);
-  EXPECT_LE(r.max_pop_replay, opt.snapshot_interval);
+  EXPECT_EQ(r.max_pop_replay, 1u);
+  EXPECT_GT(r.replay_steps, r.transitions);  // reloads add their prefixes
 
-  // And the bound is budget-invariant: the unbudgeted run obeys the same
-  // ceiling, with identical semantic counters (checked elsewhere).
-  ExploreOptions unbudgeted;
-  unbudgeted.snapshot_interval = 3;
-  const auto u = explore_abd(unbudgeted);
-  EXPECT_LE(u.max_pop_replay, unbudgeted.snapshot_interval);
+  // Unbudgeted: one step per pop and nothing else.
+  const auto u = explore_abd(ExploreOptions{});
+  EXPECT_EQ(u.max_pop_replay, 1u);
+  EXPECT_EQ(u.replay_steps, u.transitions);
+}
+
+// Counts down to zero by messaging itself: a single path of n + 1 states.
+struct Tick final : MessagePayload {
+  std::uint64_t n;
+  explicit Tick(std::uint64_t v) : n(v) {}
+  std::string_view type_name() const override { return "test.tick"; }
+  StateBits size_bits() const override { return {0, 64}; }
+  void encode_content(BufWriter& w) const override { w.u64(n); }
+};
+
+class Countdown final : public CloneableProcess<Countdown> {
+ public:
+  void on_message(Context& ctx, NodeId, const MessagePayload& msg) override {
+    left_ = dynamic_cast<const Tick&>(msg).n;
+    if (left_ > 0) ctx.send(id(), make_msg<Tick>(left_ - 1));
+  }
+  StateBits state_size() const override { return {0, 64}; }
+  void encode_state(BufWriter& w) const override { w.u64(left_); }
+  std::string name() const override { return "test.countdown"; }
+  bool is_server() const override { return true; }
+
+ private:
+  std::uint64_t left_ = 0;
+};
+
+TEST(FrontierSearch, DeepSnapshotChainsAreReleasedWithoutRecursion) {
+  // Each snapshot holds its parent, so a path as deep as this one builds
+  // a 50,000-link chain. Releasing it one destructor call per level would
+  // need megabytes of stack; the search runs on a 512 KiB thread stack.
+  struct Job {
+    std::uint64_t depth = 50'000;
+    ExploreResult result;
+  } job;
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 512 << 10), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* arg) -> void* {
+                  Job& j = *static_cast<Job*>(arg);
+                  World w;
+                  const NodeId a = w.add_process(std::make_unique<Countdown>());
+                  w.enqueue({a, a}, make_msg<Tick>(j.depth));
+                  ExploreOptions opt;
+                  opt.max_depth = opt.max_states = j.depth + 2;
+                  j.result = engine::frontier_search(w, opt, {}, {});
+                  return nullptr;
+                },
+                &job),
+            0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+  EXPECT_TRUE(job.result.complete);
+  EXPECT_EQ(job.result.states_visited, job.depth + 2);
+  EXPECT_EQ(job.result.terminal_states, 1u);
 }
 
 TEST(FrontierSearch, InsufficientVisitedBudgetFailsLoudly) {
