@@ -5,9 +5,10 @@
 #include <set>
 
 #include "adversary/sut.h"
-#include "algo/abd/system.h"
-#include "algo/cas/system.h"
+#include "algo/abd/client.h"
+#include "algo/cas/client.h"
 #include "algo/ldr/ldr.h"
+#include "algo/registry.h"
 #include "algo/strip/strip.h"
 #include "common/check.h"
 #include "sim/scheduler.h"
@@ -20,135 +21,79 @@ constexpr std::uint64_t kRunCap = 500000;
 
 // ---- factories ---------------------------------------------------------------
 
-MwSut from_abd(abd::System&& sys, std::size_t f, std::size_t value_size) {
-  MwSut sut;
-  sut.world = std::move(sys.world);
-  sut.servers = std::move(sys.servers);
-  sut.writers = std::move(sys.writers);
-  sut.reader = sys.readers[0];
-  sut.f = f;
-  sut.value_size = value_size;
-  sut.algorithm = "abd";
-  sut.in_value_phase = [](const World& w, NodeId writer) {
-    return dynamic_cast<const abd::Writer&>(w.process(writer)).phase() ==
-           abd::Writer::Phase::kStore;
+// `spec` with one reader; in_value_phase tests the writer's protocol phase.
+MwSutFactory mw_factory(algo::Spec spec,
+                        std::function<bool(const World&, NodeId)> in_value_phase,
+                        bool bulk_probes = false) {
+  spec.readers = 1;
+  return [=] {
+    algo::Deployment d = algo::build(spec);
+    MwSut sut;
+    sut.world = std::move(d.world);
+    sut.servers = std::move(d.servers);
+    sut.writers = std::move(d.writers);
+    sut.reader = d.readers[0];
+    sut.f = spec.f;
+    sut.value_size = spec.value_size;
+    sut.algorithm = spec.name;
+    sut.in_value_phase = in_value_phase;
+    sut.bulk_probes = bulk_probes;
+    return sut;
   };
-  return sut;
 }
 
-MwSut from_cas(cas::System&& sys, std::size_t f, std::size_t value_size) {
-  MwSut sut;
-  sut.world = std::move(sys.world);
-  sut.servers = std::move(sys.servers);
-  sut.writers = std::move(sys.writers);
-  sut.reader = sys.readers[0];
-  sut.f = f;
-  sut.value_size = value_size;
-  sut.algorithm = "cas";
-  sut.in_value_phase = [](const World& w, NodeId writer) {
-    return dynamic_cast<const cas::Writer&>(w.process(writer)).phase() ==
-           cas::Writer::Phase::kPreWrite;
+// True when `writer`, a Writer process, is in `phase`.
+template <class Writer>
+auto phase_is(typename Writer::Phase phase) {
+  return [phase](const World& w, NodeId writer) {
+    return dynamic_cast<const Writer&>(w.process(writer)).phase() == phase;
   };
-  return sut;
 }
 
 }  // namespace
 
 MwSutFactory abd_mw_factory(std::size_t n, std::size_t f, std::size_t nu,
                             std::size_t value_size) {
-  return [=] {
-    abd::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.n_writers = nu;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    return from_abd(abd::make_system(opt), f, value_size);
-  };
+  return mw_factory(
+      {.name = "abd", .n = n, .f = f, .writers = nu, .value_size = value_size},
+      phase_is<abd::Writer>(abd::Writer::Phase::kStore));
 }
 
 MwSutFactory cas_mw_factory(std::size_t n, std::size_t f, std::size_t k,
                             std::size_t nu, std::size_t value_size) {
-  return [=] {
-    cas::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.k = k;
-    opt.n_writers = nu;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    return from_cas(cas::make_system(opt), f, value_size);
-  };
+  return mw_factory({.name = "cas",
+                     .n = n,
+                     .f = f,
+                     .k = k,
+                     .writers = nu,
+                     .value_size = value_size},
+                    phase_is<cas::Writer>(cas::Writer::Phase::kPreWrite));
 }
 
 MwSutFactory cas_hash_mw_factory(std::size_t n, std::size_t f, std::size_t k,
                                  std::size_t nu, std::size_t value_size) {
-  return [=] {
-    cas::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.k = k;
-    opt.n_writers = nu;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    opt.hash_phase = true;
-    MwSut sut = from_cas(cas::make_system(opt), f, value_size);
-    sut.algorithm = "cas-hash";
-    sut.bulk_probes = true;
-    return sut;
-  };
+  return mw_factory({.name = "cas-hash",
+                     .n = n,
+                     .f = f,
+                     .k = k,
+                     .writers = nu,
+                     .value_size = value_size},
+                    phase_is<cas::Writer>(cas::Writer::Phase::kPreWrite),
+                    /*bulk_probes=*/true);
 }
 
 MwSutFactory strip_mw_factory(std::size_t n, std::size_t f, std::size_t nu,
                               std::size_t value_size) {
-  return [=] {
-    strip::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.n_writers = nu;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    strip::System sys = strip::make_system(opt);
-    MwSut sut;
-    sut.world = std::move(sys.world);
-    sut.servers = std::move(sys.servers);
-    sut.writers = std::move(sys.writers);
-    sut.reader = sys.readers[0];
-    sut.f = f;
-    sut.value_size = value_size;
-    sut.algorithm = "strip";
-    sut.in_value_phase = [](const World& w, NodeId writer) {
-      return dynamic_cast<const strip::Writer&>(w.process(writer)).phase() ==
-             strip::Writer::Phase::kStore;
-    };
-    return sut;
-  };
+  return mw_factory(
+      {.name = "strip", .n = n, .f = f, .writers = nu, .value_size = value_size},
+      phase_is<strip::Writer>(strip::Writer::Phase::kStore));
 }
 
 MwSutFactory ldr_mw_factory(std::size_t n, std::size_t f, std::size_t nu,
                             std::size_t value_size) {
-  return [=] {
-    ldr::Options opt;
-    opt.n_servers = n;
-    opt.f = f;
-    opt.n_writers = nu;
-    opt.n_readers = 1;
-    opt.value_size = value_size;
-    ldr::System sys = ldr::make_system(opt);
-    MwSut sut;
-    sut.world = std::move(sys.world);
-    sut.servers = std::move(sys.servers);
-    sut.writers = std::move(sys.writers);
-    sut.reader = sys.readers[0];
-    sut.f = f;
-    sut.value_size = value_size;
-    sut.algorithm = "ldr";
-    sut.in_value_phase = [](const World& w, NodeId writer) {
-      return dynamic_cast<const ldr::Writer&>(w.process(writer)).phase() ==
-             ldr::Writer::Phase::kPut;
-    };
-    return sut;
-  };
+  return mw_factory(
+      {.name = "ldr", .n = n, .f = f, .writers = nu, .value_size = value_size},
+      phase_is<ldr::Writer>(ldr::Writer::Phase::kPut));
 }
 
 namespace {

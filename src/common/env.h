@@ -12,7 +12,8 @@
 // Current overrides:
 //   MEMU_EXPLORE_MAX_STATES  caps exploration state counts (bench smokes)
 //   MEMU_FUZZ_WALKS          shrinks fuzz campaigns      (bench smokes)
-//   MEMU_MEM_BUDGET          default --mem for memu_sweep / bench tools
+//   MEMU_MEM_BUDGET          default --mem for memu explore / fuzz / sweep
+//                            and the bench tools
 #pragma once
 
 #include <unistd.h>
@@ -22,6 +23,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/arena.h"
 #include "common/check.h"
@@ -40,21 +42,30 @@ inline std::optional<std::string> raw(const char* name) {
   return std::string(v);
 }
 
+// A decimal count: one or more ASCII digits (no sign, no spaces, no
+// suffix) that fits in 64 bits. The one digit loop behind both the MEMU_*
+// overrides and the CLI's numeric flags; `what` names the variable or the
+// flag in the ContractError.
+inline std::uint64_t parse_count(std::string_view text, std::string_view what) {
+  MEMU_CHECK_MSG(!text.empty(), what << " is empty");
+  std::uint64_t v = 0;
+  for (const char c : text) {
+    MEMU_CHECK_MSG(c >= '0' && c <= '9',
+                   what << "='" << text << "' is not a decimal count");
+    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+    MEMU_CHECK_MSG(v <= (UINT64_MAX - digit) / 10,
+                   what << "='" << text << "' overflows");
+    v = v * 10 + digit;
+  }
+  return v;
+}
+
 // A positive decimal count. Unset -> nullopt; set but not a positive
 // decimal -> ContractError naming the variable.
 inline std::optional<std::uint64_t> u64(const char* name) {
   const auto s = raw(name);
   if (!s.has_value()) return std::nullopt;
-  std::uint64_t v = 0;
-  MEMU_CHECK_MSG(!s->empty(), name << " is empty");
-  for (const char c : *s) {
-    MEMU_CHECK_MSG(c >= '0' && c <= '9',
-                   name << "='" << *s << "' is not a decimal count");
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    MEMU_CHECK_MSG(v <= (UINT64_MAX - digit) / 10,
-                   name << "='" << *s << "' overflows");
-    v = v * 10 + digit;
-  }
+  const std::uint64_t v = parse_count(*s, name);
   MEMU_CHECK_MSG(v > 0, name << "='" << *s << "' must be positive");
   return v;
 }

@@ -1,13 +1,9 @@
 #include "fuzz/campaign.h"
 
 #include <map>
-#include <stdexcept>
 #include <utility>
 
-#include "algo/abd/system.h"
-#include "algo/cas/system.h"
-#include "algo/ldr/ldr.h"
-#include "algo/strip/strip.h"
+#include "algo/registry.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "engine/scheduler.h"
@@ -28,63 +24,11 @@ std::uint64_t injection_seed_for(std::uint64_t walk_seed) {
 }
 
 FuzzSystem make_fuzz_system(const SystemSpec& spec) {
-  FuzzSystem out;
-  if (spec.algo == "abd" || spec.algo == "abd-regular") {
-    abd::Options o;
-    o.n_servers = spec.n_servers;
-    o.f = spec.f;
-    o.n_writers = spec.n_writers;
-    o.n_readers = spec.n_readers;
-    o.value_size = spec.value_size;
-    o.read_write_back = spec.algo == "abd";
-    auto sys = abd::make_system(o);
-    out.world = std::move(sys.world);
-    out.servers = std::move(sys.servers);
-    out.writers = std::move(sys.writers);
-    out.readers = std::move(sys.readers);
-  } else if (spec.algo == "cas") {
-    cas::Options o;
-    o.n_servers = spec.n_servers;
-    o.f = spec.f;
-    o.k = spec.k == 0 ? spec.n_servers - 2 * spec.f : spec.k;
-    o.n_writers = spec.n_writers;
-    o.n_readers = spec.n_readers;
-    o.value_size = spec.value_size;
-    auto sys = cas::make_system(o);
-    out.world = std::move(sys.world);
-    out.servers = std::move(sys.servers);
-    out.writers = std::move(sys.writers);
-    out.readers = std::move(sys.readers);
-  } else if (spec.algo == "ldr") {
-    ldr::Options o;
-    o.n_servers = spec.n_servers;
-    o.f = spec.f;
-    o.n_writers = spec.n_writers;
-    o.n_readers = spec.n_readers;
-    o.value_size = spec.value_size;
-    auto sys = ldr::make_system(o);
-    out.world = std::move(sys.world);
-    out.servers = std::move(sys.servers);
-    out.writers = std::move(sys.writers);
-    out.readers = std::move(sys.readers);
-  } else if (spec.algo == "strip") {
-    strip::Options o;
-    o.n_servers = spec.n_servers;
-    o.f = spec.f;
-    o.n_writers = spec.n_writers;
-    o.n_readers = spec.n_readers;
-    o.value_size = spec.value_size;
-    auto sys = strip::make_system(o);
-    out.world = std::move(sys.world);
-    out.servers = std::move(sys.servers);
-    out.writers = std::move(sys.writers);
-    out.readers = std::move(sys.readers);
-  } else {
-    throw std::runtime_error("unknown algo '" + spec.algo +
-                             "' (want abd | abd-regular | cas | ldr | strip)");
-  }
-  out.initial = enum_value(0, spec.value_size);
-  return out;
+  algo::Deployment d =
+      algo::build({spec.algo, spec.n_servers, spec.f, spec.k, spec.n_writers,
+                   spec.n_readers, spec.value_size});
+  return {std::move(d.world), std::move(d.servers), std::move(d.writers),
+          std::move(d.readers), enum_value(0, spec.value_size)};
 }
 
 namespace {
@@ -263,24 +207,26 @@ WalkResult replay_trace(const FuzzTrace& trace) {
   return replay_trace_with(trace, trace.events);
 }
 
+void check_walk_envelope(const MemBudget& mem, std::size_t concurrent,
+                         const char* what) {
+  // 4 MiB bounds a walk's transient working set (World replica, history
+  // log, minimizer scratch) with a wide margin for every shipped spec.
+  constexpr std::size_t kWalkEnvelopeBytes = 4ull << 20;
+  const std::size_t need = concurrent * kWalkEnvelopeBytes;
+  MEMU_CHECK_MSG(!mem.bounded() || mem.total >= need,
+                 "--mem " << mem.to_string() << " cannot cover " << concurrent
+                          << " concurrent " << what
+                          << " (~4 MiB envelope each): rerun with --mem >= "
+                          << MemBudget{need}.to_string()
+                          << " or fewer --threads");
+}
+
 CampaignSummary run_campaign(const SystemSpec& spec, const FuzzPlan& plan) {
   MEMU_CHECK_MSG(plan.mix.sum() <= 1.0, "fault mix probabilities sum past 1");
-  if (plan.mem.bounded()) {
-    // Validate the budget against the concurrent-walk envelope up front —
-    // fail before walk 0, not at an OOM kill hours in. 4 MiB bounds a
-    // walk's transient working set (World replica, history log, minimizer
-    // scratch) with a wide margin for every shipped spec.
-    constexpr std::size_t kWalkEnvelopeBytes = 4ull << 20;
-    const std::size_t workers =
-        std::min(std::max<std::size_t>(1, plan.threads), plan.walks);
-    const std::size_t need = workers * kWalkEnvelopeBytes;
-    MEMU_CHECK_MSG(
-        plan.mem.total >= need,
-        "--mem " << plan.mem.to_string() << " cannot cover " << workers
-                 << " concurrent walks (~4 MiB envelope each): rerun with "
-                    "--mem >= "
-                 << MemBudget{need}.to_string() << " or fewer --threads");
-  }
+  // Fail before walk 0, not at an OOM kill hours in.
+  check_walk_envelope(
+      plan.mem, std::min(std::max<std::size_t>(1, plan.threads), plan.walks),
+      "walks");
   CampaignSummary summary;
   summary.spec = spec;
   summary.plan = plan;

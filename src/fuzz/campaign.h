@@ -48,9 +48,9 @@ struct FuzzSystem {
   Value initial;  // v0, what the checker assumes precedes everything
 };
 
-// Builds the system named by spec.algo: abd, abd-regular (one-phase reads,
-// regular-only — the intentional violation generator when checked atomic),
-// cas, ldr, or strip. Throws std::runtime_error on an unknown name.
+// Builds the system named by spec.algo through algo::build — e.g.
+// abd-regular (one-phase reads, regular-only) is the intentional violation
+// generator when checked atomic. Throws ContractError on an unknown name.
 FuzzSystem make_fuzz_system(const SystemSpec& spec);
 
 // Outcome of one walk.
@@ -80,6 +80,12 @@ struct CampaignSummary {
 
   std::string to_json() const;
 };
+
+// Throws ContractError with a sizing hint unless a bounded `mem` covers
+// `concurrent` walks (or walk-shaped replays, named by `what`) at the
+// ~4 MiB per-walk envelope. An unbounded budget always passes.
+void check_walk_envelope(const MemBudget& mem, std::size_t concurrent,
+                         const char* what);
 
 // Runs the campaign. Deterministic in (spec, plan).
 CampaignSummary run_campaign(const SystemSpec& spec, const FuzzPlan& plan);

@@ -1,5 +1,6 @@
 #include "fuzz/plan.h"
 
+#include "algo/registry.h"
 #include "common/check.h"
 
 namespace memu::fuzz {
@@ -18,6 +19,12 @@ CheckKind check_kind_from_name(const std::string& name) {
   if (name == "regular-swsr") return CheckKind::kRegularSwsr;
   if (name == "weakly-regular") return CheckKind::kWeaklyRegular;
   MEMU_CHECK_MSG(false, "unknown check kind '" << name << "'");
+}
+
+CheckKind SystemSpec::default_check() const {
+  return algo::lookup(algo).promise == algo::Promise::kAtomic
+             ? CheckKind::kAtomic
+             : CheckKind::kRegularSwsr;
 }
 
 }  // namespace memu::fuzz

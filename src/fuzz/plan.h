@@ -24,10 +24,10 @@ enum class CheckKind : std::uint8_t { kAtomic, kRegularSwsr, kWeaklyRegular };
 std::string check_kind_name(CheckKind k);
 CheckKind check_kind_from_name(const std::string& name);
 
-// The system a campaign runs against. Mirrors the per-algorithm Options
-// structs; only the fields the fuzzer varies are exposed.
+// The system a campaign runs against: an algo/registry.h name plus the
+// fields the fuzzer varies.
 struct SystemSpec {
-  std::string algo = "abd";  // abd | abd-regular | cas | ldr | strip
+  std::string algo = "abd";  // any algo/registry.h name
   std::size_t n_servers = 5;
   std::size_t f = 2;
   std::size_t k = 0;  // cas code dimension; 0 = max (n - 2f)
@@ -35,12 +35,9 @@ struct SystemSpec {
   std::size_t n_readers = 2;
   std::size_t value_size = 16;  // bytes
 
-  // The property this algorithm promises (atomic for abd/cas/strip,
-  // SWSR-regular for ldr and abd-regular).
-  CheckKind default_check() const {
-    if (algo == "ldr" || algo == "abd-regular") return CheckKind::kRegularSwsr;
-    return CheckKind::kAtomic;
-  }
+  // The check for the property the registry says this algorithm promises:
+  // atomic, or SWSR-regular for the regular ones (abd-regular, gossip, ldr).
+  CheckKind default_check() const;
 
   friend bool operator==(const SystemSpec&, const SystemSpec&) = default;
 };
@@ -103,7 +100,7 @@ struct FuzzPlan {
   // deliberately excluded from to_json() and the trace format. Purely a
   // wall-clock knob; 1 = in-line serial execution.
   std::size_t threads = 1;
-  // Memory budget for the campaign (`--mem` on memu_fuzz). Walk memory is
+  // Memory budget for the campaign (`--mem` on `memu fuzz`). Walk memory is
   // transient — each walk's World replica and history die with the walk —
   // so the budget is validated up front against the concurrent-walk
   // envelope (run_campaign CHECK-fails with a sizing hint if `threads`

@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "algo/registry.h"
 #include "fuzz/campaign.h"
 
 namespace memu::fuzz {
@@ -24,16 +25,16 @@ FuzzPlan soak_plan(std::uint64_t seed) {
 }
 
 TEST(CampaignScaling, EveryAlgoIsByteIdenticalAcrossThreadCounts) {
-  for (const char* algo : {"abd", "cas", "ldr", "strip"}) {
+  for (const char* name : {"abd", "cas", "ldr", "strip"}) {
     SystemSpec spec;
-    spec.algo = algo;
-    if (spec.algo == "ldr") spec.n_writers = 1;  // LDR checker is SW
+    spec.algo = name;
+    spec.n_writers = algo::lookup(name).checked_writers();  // LDR: one
     FuzzPlan plan = soak_plan(21);
     const std::string serial = run_campaign(spec, plan).to_json();
     for (const std::size_t threads : {2, 4, 8}) {
       plan.threads = threads;
       EXPECT_EQ(run_campaign(spec, plan).to_json(), serial)
-          << algo << " threads=" << threads;
+          << name << " threads=" << threads;
     }
   }
 }

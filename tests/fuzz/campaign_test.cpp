@@ -182,7 +182,7 @@ TEST(Campaign, ReplayReproducesTheRecordedViolation) {
 TEST(Campaign, MakeFuzzSystemRejectsUnknownAlgo) {
   SystemSpec spec;
   spec.algo = "paxos";
-  EXPECT_THROW(make_fuzz_system(spec), std::runtime_error);
+  EXPECT_THROW(make_fuzz_system(spec), ContractError);
 }
 
 TEST(Campaign, WalkSeedsAreStable) {

@@ -6,11 +6,7 @@
 
 #include <string>
 
-#include "algo/abd/system.h"
-#include "algo/cas/system.h"
-#include "algo/gossip/gossip.h"
-#include "algo/ldr/ldr.h"
-#include "algo/strip/strip.h"
+#include "algo/registry.h"
 #include "consistency/checker.h"
 #include "workload/driver.h"
 
@@ -44,66 +40,21 @@ TEST_P(ConformanceMatrix, ContractHolds) {
   wopt.policy = c.policy;
   wopt.seed = c.seed;
 
-  workload::RunResult res;
-  bool atomic_contract = true;
-
-  if (c.algo == "abd" || c.algo == "abd-swmr") {
-    abd::Options o;
-    o.n_servers = c.n;
-    o.f = c.f;
-    o.n_writers = c.algo == "abd-swmr" ? 1 : 2;
-    o.n_readers = 2;
-    o.single_writer = c.algo == "abd-swmr";
-    o.value_size = kValueSize;
-    abd::System sys = abd::make_system(o);
-    res = workload::run(sys.world, sys.writers, sys.readers, wopt);
-  } else if (c.algo == "cas" || c.algo == "casgc" || c.algo == "cas-hash") {
-    cas::Options o;
-    o.n_servers = c.n;
-    o.f = c.f;
-    o.k = 0;  // max
-    o.n_writers = 2;
-    o.n_readers = 2;
-    o.value_size = kValueSize;
-    if (c.algo == "casgc") o.delta = 2;
-    o.hash_phase = c.algo == "cas-hash";
-    cas::System sys = cas::make_system(o);
-    res = workload::run(sys.world, sys.writers, sys.readers, wopt);
-  } else if (c.algo == "strip") {
-    strip::Options o;
-    o.n_servers = c.n;
-    o.f = c.f;
-    o.n_writers = 2;
-    o.n_readers = 2;
-    o.value_size = kValueSize;
-    strip::System sys = strip::make_system(o);
-    res = workload::run(sys.world, sys.writers, sys.readers, wopt);
-  } else if (c.algo == "gossip") {
-    gossip::Options o;
-    o.n_servers = c.n;
-    o.f = c.f;
-    o.n_readers = 2;
-    o.value_size = kValueSize;
-    gossip::System sys = gossip::make_system(o);
-    res = workload::run(sys.world, {sys.writer}, sys.readers, wopt);
-    atomic_contract = false;  // one-phase reads: regular only
-  } else if (c.algo == "ldr") {
-    ldr::Options o;
-    o.n_servers = c.n;
-    o.f = c.f;
-    o.n_writers = 1;
-    o.n_readers = 2;
-    o.value_size = kValueSize;
-    ldr::System sys = ldr::make_system(o);
-    res = workload::run(sys.world, sys.writers, sys.readers, wopt);
-    atomic_contract = false;
-  } else {
-    FAIL() << "unknown algorithm " << c.algo;
-  }
+  const algo::Algorithm& a = algo::lookup(c.algo);
+  algo::Deployment d = algo::build({.name = c.algo,
+                                    .n = c.n,
+                                    .f = c.f,
+                                    .k = 0,  // max
+                                    .writers = a.checked_writers(),
+                                    .readers = 2,
+                                    .value_size = kValueSize,
+                                    .delta = 2});
+  const workload::RunResult res =
+      workload::run(d.world, d.writers, d.readers, wopt);
 
   ASSERT_TRUE(res.completed) << "liveness lost";
   const Value v0 = enum_value(0, kValueSize);
-  if (atomic_contract) {
+  if (a.promise == algo::Promise::kAtomic) {
     const auto verdict = check_atomic(res.history, v0);
     EXPECT_TRUE(verdict.ok) << verdict.violation;
   } else {
