@@ -19,7 +19,7 @@ class ValencyExplorer {
         max_states_(max_states),
         // Exact dedupe: this probe is the ground truth the deterministic
         // probe is validated against, so no fingerprint-collision risk.
-        visited_({/*exact=*/true, /*shards=*/1}) {}
+        visited_({/*exact=*/true}) {}
 
   void walk(const World& w) {
     if (!visited_.try_insert(w.canonical_encoding())) return;

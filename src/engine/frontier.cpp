@@ -1,5 +1,6 @@
 #include "engine/frontier.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -28,16 +29,31 @@ namespace {
 // pops from them.
 struct Snapshot {
   World world;
-  mutable std::shared_ptr<const Snapshot> parent;  // unlinked only in ~Snapshot
+  std::shared_ptr<const Snapshot> parent;
   ExploreStep step;
   std::size_t depth = 0;
 
-  // Releases sole-owned ancestors one at a time: dropping a chain through
-  // nested destructors would recurse once per level and overflow the
-  // stack on paths of a million steps.
+  // Releases the parent chain iteratively: dropping it through nested
+  // destructors would recurse once per level and overflow the stack on
+  // paths of a million steps. Releasing one link destroys at most one
+  // Snapshot, so a destructor that runs inside another one hands its own
+  // link back through `handoff` and the outermost frame drops it next.
+  // Every release goes through the refcount's atomic decrement; peeking
+  // at use_count() instead would not order the unlinking after another
+  // thread's last read of the link.
   ~Snapshot() {
-    std::shared_ptr<const Snapshot> p = std::move(parent);
-    while (p != nullptr && p.use_count() == 1) p = std::move(p->parent);
+    thread_local std::shared_ptr<const Snapshot>* handoff = nullptr;
+    if (handoff != nullptr) {
+      *handoff = std::move(parent);
+      return;
+    }
+    std::shared_ptr<const Snapshot> next = std::move(parent);
+    handoff = &next;
+    while (next != nullptr) {
+      std::shared_ptr<const Snapshot> p = std::move(next);
+      p.reset();  // a Snapshot that dies here hands its parent to `next`
+    }
+    handoff = nullptr;
   }
 };
 
@@ -50,6 +66,31 @@ struct Node {
   // Sleep set (engine/dpor.h): steps whose interleavings an earlier
   // sibling branch already covers. Always empty when reduction is off.
   std::vector<ExploreStep> sleep;
+};
+
+// Counters one worker bumps on every visit. Each worker owns one, on its
+// own cache line, so the per-transition path writes no shared line; they
+// are summed once the search ends. (states_visited stays a shared atomic:
+// max_states is checked against it.)
+struct alignas(64) Tally {
+  std::size_t transitions = 0;
+  std::size_t deduped = 0;
+  std::size_t terminals = 0;
+  std::size_t truncated = 0;
+  std::size_t depth_cut = 0;
+  std::size_t sleep_blocked = 0;
+  std::size_t symmetry_merged = 0;
+
+  Tally& operator+=(const Tally& o) {
+    transitions += o.transitions;
+    deduped += o.deduped;
+    terminals += o.terminals;
+    truncated += o.truncated;
+    depth_cut += o.depth_cut;
+    sleep_blocked += o.sleep_blocked;
+    symmetry_merged += o.symmetry_merged;
+    return *this;
+  }
 };
 
 // The delivery path from the initial state to `snap`'s world. (A rebuilt
@@ -80,8 +121,8 @@ class Search {
         frontier_budget_(opt.frontier_budget_bytes != 0
                              ? opt.frontier_budget_bytes
                              : opt.mem.total / 8),
-        visited_({opt.exact_dedupe, shard_count(opt),
-                  opt.dedupe ? visited_budget(opt) : 0}) {}
+        visited_({opt.exact_dedupe, opt.dedupe ? visited_budget(opt) : 0}),
+        tallies_(std::max<std::size_t>(opt.threads, 1)) {}
 
   ExploreResult run(const World& initial) {
     root_ = initial;
@@ -95,24 +136,25 @@ class Search {
       // Telemetry twin-detector for symmetry_merged: an auxiliary plain-
       // fingerprint set, deliberately NOT maintained under a --mem budget
       // (it is unmetered and would roughly double visited memory).
-      plain_seen_ = std::make_unique<VisitedSet>(
-          VisitedSet::Options{false, shard_count(opt_), 0});
+      plain_seen_ = std::make_unique<VisitedSet>(VisitedSet::Options{});
     }
     Node root;
     if (opt_.threads <= 1) {
-      push_bytes(root);
+      account_frontier(node_bytes(root), 0);
       frontier_.push_back(std::move(root));
       run_sequential();
     } else {
       run_parallel(std::move(root));
     }
 
+    Tally sum;
+    for (const Tally& t : tallies_) sum += t;
     ExploreResult result;
     result.states_visited = states_visited_.load();
-    result.terminal_states = terminal_states_.load();
-    result.transitions = transitions_.load();
-    result.deduped = deduped_.load();
-    result.truncated = truncated_.load();
+    result.terminal_states = sum.terminals;
+    result.transitions = sum.transitions;
+    result.deduped = sum.deduped;
+    result.truncated = sum.truncated;
     result.dedupe_bytes = opt_.dedupe ? visited_.memory_bytes() : 0;
     result.dedupe_entries = opt_.dedupe ? visited_.size() : 0;
     result.exact_dedupe = opt_.exact_dedupe;
@@ -121,11 +163,11 @@ class Search {
       result.spill_batches = spill_->batches_spilled();
       result.spilled_nodes = spill_->nodes_spilled();
     }
-    result.depth_cut = depth_cut_.load();
+    result.depth_cut = sum.depth_cut;
     result.steal_batches = steal_batches_;
     result.tasks_stolen = tasks_stolen_;
-    result.sleep_blocked = sleep_blocked_.load();
-    result.symmetry_merged = symmetry_merged_.load();
+    result.sleep_blocked = sum.sleep_blocked;
+    result.symmetry_merged = sum.symmetry_merged;
     result.symmetry_applied = symmetry_on_;
     // Every non-root pop delivers exactly one step, and counts one
     // transition; reloads add their replayed prefixes.
@@ -142,11 +184,6 @@ class Search {
   }
 
  private:
-  static std::size_t shard_count(const ExploreOptions& opt) {
-    if (opt.dedupe_shards != 0) return opt.dedupe_shards;
-    return auto_shard_count(opt.threads);
-  }
-
   // --mem split: the visited set takes half the budget (it is the
   // structure that scales with DISTINCT states and cannot shed load), the
   // in-memory frontier an eighth (it can — to disk); the rest is slack
@@ -164,15 +201,16 @@ class Search {
     return sizeof(Node) + n.sleep.size() * sizeof(ExploreStep);
   }
 
-  void push_bytes(const Node& n) {
+  // One net update per visit (or reload) instead of one per node: the
+  // visit's pushes all follow its pop, so the peak after the net update
+  // is the peak the per-node updates would have seen.
+  void account_frontier(std::size_t pushed, std::size_t popped) {
     const std::size_t now =
-        frontier_bytes_.fetch_add(node_bytes(n)) + node_bytes(n);
-    std::size_t peak = frontier_peak_.load();
+        frontier_bytes_.fetch_add(pushed - popped) + (pushed - popped);
+    std::size_t peak = frontier_peak_.load(std::memory_order_relaxed);
     while (now > peak && !frontier_peak_.compare_exchange_weak(peak, now)) {
     }
   }
-
-  void pop_bytes(const Node& n) { frontier_bytes_.fetch_sub(node_bytes(n)); }
 
   void record_violation(const std::string& why, const Node& node) {
     std::lock_guard<std::mutex> lock(violation_mu_);
@@ -210,7 +248,7 @@ class Search {
   // that back for one canonical (relabeled) encoding per admitted state.
   // Exact mode pays the full encoding, through one recycled thread-local
   // buffer.
-  bool admit(const World& world) {
+  bool admit(const World& world, Tally& tally) {
     if (states_visited_.load() >= opt_.max_states) {
       // Expansion budget exhausted: classify WITHOUT inserting — this
       // state is never expanded, so a later re-encounter must not count
@@ -225,10 +263,10 @@ class Search {
         seen = visited_.contains(dedupe_fingerprint(world));
       }
       if (seen) {
-        deduped_.fetch_add(1);
+        ++tally.deduped;
       } else {
         complete_.store(false);
-        truncated_.fetch_add(1);
+        ++tally.truncated;
       }
       return false;
     }
@@ -240,12 +278,12 @@ class Search {
     } else {
       fresh = visited_.try_insert(dedupe_fingerprint(world));
     }
-    if (!fresh) deduped_.fetch_add(1);  // includes losing an insert race
+    if (!fresh) ++tally.deduped;  // includes losing an insert race
     if (plain_seen_ != nullptr) {
       // symmetry_merged telemetry: a canonical-key hit whose PLAIN
       // fingerprint is new merged a symmetric twin, not a literal revisit.
       const bool plain_fresh = plain_seen_->try_insert(world.state_hash());
-      if (!fresh && plain_fresh) symmetry_merged_.fetch_add(1);
+      if (!fresh && plain_fresh) ++tally.symmetry_merged;
     }
     return fresh;
   }
@@ -262,7 +300,7 @@ class Search {
   // terminal, and child generation. Children are passed to `emit` in
   // deterministic (channel, index) order; the caller decides where they go.
   template <class Emit>
-  void visit(const Node& node, Emit&& emit) {
+  void visit(const Node& node, Tally& tally, Emit&& emit) {
     // Materialize: COW copy of the parent's World plus one delivery. The
     // recursive DFS counted `transitions` once per child call; counting at
     // entry (non-root nodes only) gives the same totals in the same order,
@@ -270,16 +308,16 @@ class Search {
     World world = node.parent != nullptr ? node.parent->world : root_;
     std::size_t depth = 0;
     if (node.parent != nullptr) {
-      transitions_.fetch_add(1);
+      ++tally.transitions;
       world.deliver(node.step.chan, node.step.index);
       depth = node.parent->depth + 1;
     }
 
     if (opt_.dedupe) {
-      if (!admit(world)) return;
+      if (!admit(world, tally)) return;
     } else if (states_visited_.load() >= opt_.max_states) {
       complete_.store(false);
-      truncated_.fetch_add(1);
+      ++tally.truncated;
       return;
     }
     states_visited_.fetch_add(1);
@@ -293,7 +331,7 @@ class Search {
 
     const std::vector<ChannelId> chans = world.deliverable_channels();
     if (chans.empty()) {
-      terminal_states_.fetch_add(1);
+      ++tally.terminals;
       if (terminal_) {
         if (const auto why = terminal_(world); why.has_value())
           record_violation("terminal: " + *why, node);
@@ -302,7 +340,7 @@ class Search {
     }
     if (depth >= opt_.max_depth) {
       complete_.store(false);
-      depth_cut_.fetch_add(1);
+      ++tally.depth_cut;
       return;
     }
 
@@ -328,7 +366,7 @@ class Search {
         return;
       }
       if (dpor::sleeps(node.sleep, step)) {
-        sleep_blocked_.fetch_add(1);
+        ++tally.sleep_blocked;
         return;
       }
       Node child{snap, step, dpor::child_sleep(acc, step, server_mask_)};
@@ -392,11 +430,13 @@ class Search {
     const auto parent = std::make_shared<const Snapshot>(
         std::move(world), std::move(link),
         prefix.empty() ? ExploreStep{} : prefix.back(), prefix.size());
+    std::size_t pushed = 0;
     for (SpillEntry& entry : batch.entries) {
       MEMU_CHECK(entry.suffix.size() == 1);
       out.push_back(Node{parent, entry.suffix[0], std::move(entry.sleep)});
-      push_bytes(out.back());
+      pushed += node_bytes(out.back());
     }
+    account_frontier(pushed, 0);
   }
 
   // Sequential spill policy: when the accounted frontier bytes exceed the
@@ -449,16 +489,19 @@ class Search {
   // budget.
   void run_sequential() {
     std::vector<Node> children;
+    Tally& tally = tallies_[0];
     while ((!frontier_.empty() || reload_sequential()) && !aborted_.load()) {
       const Node node = std::move(frontier_.back());
       frontier_.pop_back();
-      pop_bytes(node);
       children.clear();
-      visit(node, [&](Node&& child) { children.push_back(std::move(child)); });
+      visit(node, tally,
+            [&](Node&& child) { children.push_back(std::move(child)); });
+      std::size_t pushed = 0;
       for (auto it = children.rbegin(); it != children.rend(); ++it) {
-        push_bytes(*it);
+        pushed += node_bytes(*it);
         frontier_.push_back(std::move(*it));
       }
+      account_frontier(pushed, node_bytes(node));
       maybe_spill_sequential();
     }
   }
@@ -516,7 +559,7 @@ class Search {
 
   void run_parallel(Node&& root) {
     WorkStealingPool<Node> pool(opt_.threads);
-    push_bytes(root);
+    account_frontier(node_bytes(root), 0);
     pool.seed(std::move(root));
     pool.run(
         [this, &pool](std::size_t id, Node&& node) {
@@ -524,13 +567,14 @@ class Search {
             pool.stop();
             return;
           }
-          pop_bytes(node);
           // One child buffer per worker thread, reused across visits.
           static thread_local std::vector<Node> children;
           children.clear();
-          visit(node,
+          visit(node, tallies_[id],
                 [&](Node&& child) { children.push_back(std::move(child)); });
-          for (const Node& child : children) push_bytes(child);
+          std::size_t pushed = 0;
+          for (const Node& child : children) pushed += node_bytes(child);
+          account_frontier(pushed, node_bytes(node));
           if (frontier_budget_ != 0 && !children.empty() &&
               frontier_bytes_.load() > frontier_budget_) {
             spill_parallel(children);
@@ -564,14 +608,8 @@ class Search {
   std::mutex spill_mu_;  // guards spill_ in parallel mode
   std::unique_ptr<SpillFile> spill_;  // lazily created on first spill
 
-  std::atomic<std::size_t> states_visited_{0};
-  std::atomic<std::size_t> terminal_states_{0};
-  std::atomic<std::size_t> transitions_{0};
-  std::atomic<std::size_t> deduped_{0};
-  std::atomic<std::size_t> truncated_{0};
-  std::atomic<std::size_t> depth_cut_{0};
-  std::atomic<std::size_t> sleep_blocked_{0};
-  std::atomic<std::size_t> symmetry_merged_{0};
+  std::vector<Tally> tallies_;  // one per pool worker; [0] when sequential
+  alignas(64) std::atomic<std::size_t> states_visited_{0};
   // Written once, after pool.run() returns (workers joined) — plain fields.
   std::size_t steal_batches_ = 0;
   std::size_t tasks_stolen_ = 0;

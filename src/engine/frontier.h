@@ -64,9 +64,6 @@ struct ExploreOptions {
   // canonical encoding per visited state and ~encoding-length x the
   // memory).
   bool exact_dedupe = false;
-  // Visited-set shards; 0 = auto (engine::auto_shard_count — 1 when
-  // sequential, scaling with the thread count in parallel mode).
-  std::size_t dedupe_shards = 0;
   // --- memory budget -------------------------------------------------------
   // Hard byte cap for the search's growing structures (`--mem` on the
   // tools). Unbounded (the default) preserves the grow-forever behavior.

@@ -17,15 +17,19 @@
 // dry again — which also keeps its World expansions allocating from its
 // own slab pool pages, see common/arena.h). Termination is a single atomic
 // in-flight counter: tasks are added to it BEFORE their producer retires,
-// so it reaches 0 only when the pool is exhausted. No global queue, no
-// condvar, no lock on the happy path except the owner's own deque mutex.
+// so it reaches 0 only when the pool is exhausted. A worker does not
+// publish each retirement: it piles them up and settles them with its next
+// submit (one read-modify-write for the batch and the retirements) or
+// before it checks for termination, so the counter only ever over-counts
+// and cannot reach 0 early. No global queue, no condvar, no lock on the
+// happy path except the owner's own deque mutex.
 //
 // Determinism contract: the pool guarantees every submitted task is
 // visited exactly once by some worker; it does NOT fix which worker or in
 // what order. Callers that need thread-count-independent results make the
 // tasks independent and merge by task index (the fuzz campaign runner) or
-// keep all shared counters atomic and order-insensitive (the frontier
-// search).
+// keep order-insensitive counters per worker, summed after run() (the
+// frontier search).
 #pragma once
 
 #include <algorithm>
@@ -73,12 +77,18 @@ class WorkStealingPool {
   // return them in `batch` order — the frontier's DFS-child ordering.
   // Increments in-flight by the batch size, so calling this before the
   // visit returns (i.e. before the parent retires) keeps the counter from
-  // touching 0 mid-expansion. Drains `batch` (leaves it empty, capacity
-  // intact) so callers can reuse the buffer.
+  // touching 0 mid-expansion; the worker's unpublished retirements ride
+  // along in the same update. Drains `batch` (leaves it empty, capacity
+  // intact) so callers can reuse the buffer. Call only from `worker`'s own
+  // visit or refill.
   void submit(std::size_t worker, std::vector<Task>& batch) {
     if (batch.empty()) return;
-    in_flight_.fetch_add(batch.size());
     Deque& d = *deques_[worker];
+    // Unsigned wrap-around makes this a subtraction when the worker has
+    // retired more tasks than it submits; the tasks it retired are already
+    // done, so the result is still >= the true in-flight count.
+    in_flight_.fetch_add(batch.size() - d.retired);
+    d.retired = 0;
     std::lock_guard<std::mutex> lock(d.mu);
     for (auto it = batch.rbegin(); it != batch.rend(); ++it)
       d.tasks.push_back(std::move(*it));
@@ -134,9 +144,14 @@ class WorkStealingPool {
   }
 
  private:
-  struct Deque {
+  // One cache line per deque, so an owner's pushes and pops do not evict
+  // its neighbors'.
+  struct alignas(64) Deque {
     std::mutex mu;
     std::vector<Task> tasks;  // back = owner end, front = steal end
+    // Tasks this worker finished but has not yet subtracted from
+    // in_flight_. Touched only by the owning worker.
+    std::size_t retired = 0;
   };
 
   bool try_pop_local(std::size_t id, Task& out) {
@@ -192,14 +207,19 @@ class WorkStealingPool {
   template <class Visit, class Refill>
   void worker_loop(std::size_t id, Visit& visit, Refill& refill) {
     std::uint64_t rng = mix64(id ^ 0xd6e8feb86659fd93ull);
+    std::size_t& retired = deques_[id]->retired;
     std::size_t idle = 0;
     for (;;) {
-      if (stop_.load()) return;
+      if (stop_.load(std::memory_order_relaxed)) return;
       Task task;
       if (!try_pop_local(id, task) && !try_steal(id, rng, task)) {
         if (refill(id)) {
           idle = 0;
           continue;
+        }
+        if (retired != 0) {
+          in_flight_.fetch_sub(retired);
+          retired = 0;
         }
         if (in_flight_.load() == 0) return;  // nothing queued, nothing running
         // Brief spin, then sleep: on saturated hardware (or 1 core) idle
@@ -213,14 +233,16 @@ class WorkStealingPool {
       }
       idle = 0;
       visit(id, std::move(task));
-      in_flight_.fetch_sub(1);
+      ++retired;
     }
   }
 
   std::vector<std::unique_ptr<Deque>> deques_;
   std::size_t seed_cursor_ = 0;
-  std::atomic<std::size_t> in_flight_{0};  // queued + executing tasks
-  std::atomic<bool> stop_{false};
+  // Queued + executing tasks, plus retirements not yet settled. On its own
+  // cache line: every submit updates it, while stop_ is read every loop.
+  alignas(64) std::atomic<std::size_t> in_flight_{0};
+  alignas(64) std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> steal_batches_{0};
   std::atomic<std::uint64_t> tasks_stolen_{0};
 };

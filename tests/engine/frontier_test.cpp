@@ -165,19 +165,34 @@ void expect_path_reaches_violation(const World& initial,
 }
 
 TEST(FrontierSearch, ParallelMatchesSequentialOnAbd) {
-  ExploreOptions seq;
-  ExploreOptions par;
-  par.threads = 8;
-  const auto s = explore_abd(seq);
-  const auto p = explore_abd(par);
+  // Unbudgeted, with a fitted visited set, and with a frontier budget that
+  // forces spilling: the per-worker counters must sum to the sequential
+  // ones in every mode.
+  const auto s = explore_abd(ExploreOptions{});
   EXPECT_TRUE(s.complete);
-  EXPECT_TRUE(p.complete);
-  EXPECT_EQ(s.states_visited, p.states_visited);
-  EXPECT_EQ(s.terminal_states, p.terminal_states);
-  EXPECT_EQ(s.transitions, p.transitions);
-  EXPECT_EQ(s.deduped, p.deduped);
-  EXPECT_EQ(s.ok, p.ok);
-  expect_accounting_identity(p);
+  for (const auto& [visited_budget, frontier_budget] :
+       {std::pair<std::size_t, std::size_t>{0, 0},
+        {1 << 20, 0},
+        {0, 4096},
+        {1 << 20, 4096}}) {
+    ExploreOptions par;
+    par.threads = 8;
+    par.visited_budget_bytes = visited_budget;
+    par.frontier_budget_bytes = frontier_budget;
+    const auto p = explore_abd(par);
+    SCOPED_TRACE(std::to_string(visited_budget) + "/" +
+                 std::to_string(frontier_budget));
+    EXPECT_TRUE(p.complete);
+    EXPECT_EQ(s.states_visited, p.states_visited);
+    EXPECT_EQ(s.terminal_states, p.terminal_states);
+    EXPECT_EQ(s.transitions, p.transitions);
+    EXPECT_EQ(s.deduped, p.deduped);
+    EXPECT_EQ(s.truncated, p.truncated);
+    EXPECT_EQ(s.depth_cut, p.depth_cut);
+    EXPECT_EQ(s.ok, p.ok);
+    EXPECT_EQ(p.spill_batches > 0, frontier_budget != 0);
+    expect_accounting_identity(p);
+  }
 }
 
 TEST(FrontierSearch, ParallelMatchesSequentialInReorderMode) {
