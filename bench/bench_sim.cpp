@@ -9,7 +9,7 @@
 #include "consistency/checker.h"
 #include "sim/cow_stats.h"
 #include "sim/explorer.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "workload/driver.h"
 
 namespace {

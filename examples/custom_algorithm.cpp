@@ -16,7 +16,7 @@
 #include "registers/tag.h"
 #include "registers/value.h"
 #include "sim/process.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "sim/world.h"
 #include "workload/driver.h"
 

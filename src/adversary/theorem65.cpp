@@ -11,7 +11,7 @@
 #include "algo/registry.h"
 #include "algo/strip/strip.h"
 #include "common/check.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 
 namespace memu::adversary {
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -24,7 +25,9 @@ namespace {
 // reached by delivering `step` from `parent`'s world, `depth` steps from
 // the initial state (the root has depth 0 and no parent). The parent links
 // are the delivery path, walked only for a violation or a spill batch.
-// Snapshots are immutable once published, so threads share them safely.
+// Snapshots are immutable once published, so threads share them safely;
+// a published world's state hash is settled (no dirty process), so the
+// probes that hash its children from several threads only read it.
 // Links rebuilt for a reloaded spill batch hold an empty world: nothing
 // pops from them.
 struct Snapshot {
@@ -57,9 +60,9 @@ struct Snapshot {
   }
 };
 
-// A frontier entry: one delivery past an expanded parent. Popping it copies
-// parent->world (COW — pointer bumps) and delivers `step`, so every pop
-// replays exactly one step. The root node has no parent (and no step).
+// A frontier entry: one delivery past an expanded parent. Popping it
+// probes or replays exactly that one step against parent->world (see
+// Search::reach). The root node has no parent (and no step).
 struct Node {
   std::shared_ptr<const Snapshot> parent;
   ExploreStep step;
@@ -132,6 +135,10 @@ class Search {
     // blocks during exploration never change eligibility (roles and the
     // process set are fixed), so one root check covers the search.
     symmetry_on_ = opt_.reduction.symmetry && symmetry::eligible(initial);
+    // Successors are hashed before they are built only when the dedupe
+    // key is the plain state hash: exact mode needs the successor's bytes,
+    // symmetry its orbit-canonical key.
+    probe_on_ = opt_.dedupe && !opt_.exact_dedupe && !symmetry_on_;
     if (symmetry_on_ && opt_.dedupe && visited_budget(opt_) == 0) {
       // Telemetry twin-detector for symmetry_merged: an auxiliary plain-
       // fingerprint set, deliberately NOT maintained under a --mem budget
@@ -296,30 +303,68 @@ class Search {
     return buf;
   }
 
+  // Classifies a built World: admit() under dedupe, else the max_states
+  // budget alone. True iff the state is to be expanded.
+  bool classify(const World& world, Tally& tally) {
+    if (opt_.dedupe) return admit(world, tally);
+    if (states_visited_.load() < opt_.max_states) return true;
+    complete_.store(false);
+    ++tally.truncated;
+    return false;
+  }
+
+  // Builds `node`'s state if it is to be expanded; otherwise counts it as
+  // deduped or truncated and returns nullopt. The recursive DFS counted
+  // `transitions` once per child call; counting here (non-root nodes only)
+  // gives the same totals in the same order, including under aborts.
+  // Probe path: the successor is hashed from its delta against the shared
+  // parent, and only a fresh state is built — a COW copy of the parent
+  // (pointer bumps) with the probed delivery applied. A revisit, the
+  // common outcome, builds no World. Otherwise: copy, deliver, classify.
+  std::optional<World> reach(const Node& node, Tally& tally) {
+    if (node.parent == nullptr) {
+      std::optional<World> world(root_);
+      if (!classify(*world, tally)) return std::nullopt;
+      return world;
+    }
+    ++tally.transitions;
+    const World& parent = node.parent->world;
+    const ExploreStep& step = node.step;
+    if (probe_on_ && states_visited_.load() < opt_.max_states) {
+      // One probe buffer per worker thread, emptied on every exit so no
+      // process copy or payload outlives the visit.
+      static thread_local World::Probe probe;
+      struct Clear {
+        World::Probe& p;
+        ~Clear() { p.clear(); }
+      } clear{probe};
+      parent.probe_deliver(step.chan, step.index, probe);
+      if (!visited_.try_insert(probe.hash)) {
+        ++tally.deduped;  // includes losing an insert race
+        return std::nullopt;
+      }
+      std::optional<World> world(parent);
+      world->apply_probe(step.chan, step.index, probe);
+      MEMU_CHECK_MSG(world->state_hash() == probe.hash,
+                     "probed hash differs from the built successor's");
+      return world;
+    }
+    std::optional<World> world(parent);
+    world->deliver(step.chan, step.index);
+    if (!classify(*world, tally)) return std::nullopt;
+    return world;
+  }
+
   // Visits one frontier node: reconstitution, dedupe, bounds, invariant,
   // terminal, and child generation. Children are passed to `emit` in
   // deterministic (channel, index) order; the caller decides where they go.
   template <class Emit>
   void visit(const Node& node, Tally& tally, Emit&& emit) {
-    // Materialize: COW copy of the parent's World plus one delivery. The
-    // recursive DFS counted `transitions` once per child call; counting at
-    // entry (non-root nodes only) gives the same totals in the same order,
-    // including under aborts.
-    World world = node.parent != nullptr ? node.parent->world : root_;
-    std::size_t depth = 0;
-    if (node.parent != nullptr) {
-      ++tally.transitions;
-      world.deliver(node.step.chan, node.step.index);
-      depth = node.parent->depth + 1;
-    }
-
-    if (opt_.dedupe) {
-      if (!admit(world, tally)) return;
-    } else if (states_visited_.load() >= opt_.max_states) {
-      complete_.store(false);
-      ++tally.truncated;
-      return;
-    }
+    std::optional<World> reached = reach(node, tally);
+    if (!reached.has_value()) return;
+    World& world = *reached;
+    const std::size_t depth =
+        node.parent != nullptr ? node.parent->depth + 1 : 0;
     states_visited_.fetch_add(1);
 
     if (invariant_) {
@@ -347,7 +392,7 @@ class Search {
     // The expanded state becomes the shared parent of its children.
     const auto snap = std::make_shared<const Snapshot>(
         std::move(world), node.parent, node.step, depth);
-    const World& probe = snap->world;
+    const World& expanded = snap->world;
 
     // Sleep-set filtering (engine/dpor.h): an enumerated step found in the
     // node's sleep set is skipped — every interleaving it starts is
@@ -376,7 +421,7 @@ class Search {
     for (const ChannelId chan : chans) {
       if (!opt_.reorder) {
         // First allowed index (may be > 0 under value/bulk blocks).
-        const std::size_t index = probe.first_deliverable_index(chan);
+        const std::size_t index = expanded.first_deliverable_index(chan);
         MEMU_CHECK(index != kNoIndex);
         emit_step(chan, index);
         continue;
@@ -386,7 +431,7 @@ class Search {
       // states) merge in the visited set — payload-level merging here
       // would be unsound for non-adjacent duplicates, whose remaining
       // queue orders differ.
-      for (const std::size_t index : probe.deliverable_indices(chan)) {
+      for (const std::size_t index : expanded.deliverable_indices(chan)) {
         emit_step(chan, index);
       }
     }
@@ -422,6 +467,9 @@ class Search {
     World world = root_;
     replay(world, prefix, 0, prefix.size());
     reload_steps_.fetch_add(prefix.size());
+    // Settle the hash before publishing: probes read the snapshot from
+    // several threads at once and must find no dirty process to flush.
+    world.state_hash();
     std::shared_ptr<const Snapshot> link;
     for (std::size_t i = 0; i + 1 < prefix.size(); ++i) {
       link = std::make_shared<const Snapshot>(World{}, std::move(link),
@@ -600,6 +648,7 @@ class Search {
   // --- partial-order reduction ---------------------------------------------
   bool sleep_on_ = false;
   bool symmetry_on_ = false;
+  bool probe_on_ = false;  // see run()
   std::vector<std::uint8_t> server_mask_;  // dpor independence input
   std::unique_ptr<VisitedSet> plain_seen_;  // symmetry_merged telemetry
 

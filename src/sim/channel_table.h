@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -285,6 +286,31 @@ class ChannelTable {
   // World::state_hash(). Keys depend only on (src, dst).
   std::uint64_t content_hash() const { return content_hash_; }
 
+  // The content_hash() this table would have after pop(popped, index) and
+  // then a push of each of `sends` on (sender, its destination), in order,
+  // computed without mutating the table: only the popped channel and each
+  // distinct channel a send lands on are refolded. World::probe_deliver
+  // hashes a successor state through this.
+  std::uint64_t hash_after(
+      ChannelId popped, std::size_t index, NodeId sender,
+      const std::vector<std::pair<NodeId, MessagePtr>>& sends) const {
+    std::uint64_t h = content_hash_;
+    bool popped_refolded = false;
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      const NodeId dst = sends[i].first;
+      bool repeat = false;
+      for (std::size_t j = 0; j < i && !repeat; ++j)
+        repeat = sends[j].first == dst;
+      if (repeat) continue;  // refolded with its first send
+      const ChannelId chan{sender, dst};
+      const bool is_popped = chan == popped;
+      popped_refolded |= is_popped;
+      h ^= refold_delta(chan, is_popped ? index : kNoIndex, sends, i);
+    }
+    if (!popped_refolded) h ^= refold_delta(popped, index, sends, sends.size());
+    return h;
+  }
+
   // O(total payload bytes) from-scratch recomputation — the differential-
   // test oracle for the incremental hash. Deliberately re-encodes every
   // payload instead of trusting the cached per-message fingerprints, so a
@@ -379,6 +405,37 @@ class ChannelTable {
   static std::uint64_t chan_component(ChannelId chan, const Queue& q) {
     return mix64(statehash::chan_key(chan.src.value, chan.dst.value) ^
                  fold_queue(q));
+  }
+
+  // Old XOR new component of `chan` when the message at `skip` (kNoIndex:
+  // none) leaves it and sends[first..] addressed to chan.dst join it; an
+  // emptied channel's component is 0, as if its entry were erased.
+  std::uint64_t refold_delta(
+      ChannelId chan, std::size_t skip,
+      const std::vector<std::pair<NodeId, MessagePtr>>& sends,
+      std::size_t first) const {
+    const Queue* q = find(chan);
+    std::uint64_t fold = statehash::kQueueFoldSeed;
+    bool any = false;
+    std::uint64_t old = 0;
+    if (q != nullptr) {
+      old = chan_component(chan, *q);
+      std::size_t i = 0;
+      for (const Message& m : *q) {
+        if (i++ == skip) continue;
+        fold = mix64(fold ^ m.payload_fp);
+        any = true;
+      }
+    }
+    for (std::size_t j = first; j < sends.size(); ++j) {
+      if (sends[j].first != chan.dst) continue;
+      fold = mix64(fold ^ sends[j].second->fingerprint());
+      any = true;
+    }
+    const std::uint64_t now =
+        any ? mix64(statehash::chan_key(chan.src.value, chan.dst.value) ^ fold)
+            : 0;
+    return old ^ now;
   }
 
   std::size_t nodes_ = 0;

@@ -144,6 +144,18 @@ class OpLog {
     return e->value;
   }
 
+  // Content fingerprint of one event, field-mixed without serialization.
+  // Deliberately omits e.step (not part of the canonical state). An event
+  // appended at index i contributes component(kOplogSeed, i, event_fp(e))
+  // to content_hash().
+  static std::uint64_t event_fp(const OpEvent& e) {
+    std::uint64_t h = mix64(static_cast<std::uint64_t>(e.kind) |
+                            (std::uint64_t{e.client.value} << 8) |
+                            (static_cast<std::uint64_t>(e.type) << 40));
+    h = mix64(h ^ e.op_id);
+    return mix64(h ^ fingerprint64(e.value));
+  }
+
   // Number of responses after (and including) index `from`.
   std::size_t responses_since(std::size_t from) const {
     std::size_t n = 0;
@@ -157,16 +169,6 @@ class OpLog {
   }
 
  private:
-  // Content fingerprint of one event, field-mixed without serialization.
-  // Deliberately omits e.step (not part of the canonical state).
-  static std::uint64_t event_fp(const OpEvent& e) {
-    std::uint64_t h = mix64(static_cast<std::uint64_t>(e.kind) |
-                            (std::uint64_t{e.client.value} << 8) |
-                            (static_cast<std::uint64_t>(e.type) << 40));
-    h = mix64(h ^ e.op_id);
-    return mix64(h ^ fingerprint64(e.value));
-  }
-
   // Newest-first scan: responses live near the end of the log, and at most
   // one response exists per op id, so direction does not change the result.
   const OpEvent* find_response(std::uint64_t op_id) const {

@@ -1,10 +1,15 @@
 // Process: the I/O-automaton-style node abstraction.
 //
 // A process reacts to message deliveries (on_message) and to external
-// operation invocations (on_invoke, clients only). All effects go through
-// the Context, which the World supplies per step. Processes must be
-// deep-copyable via clone() — the adversary harness forks entire Worlds to
-// probe hypothetical extensions of an execution, exactly like the paper's
+// operation invocations (on_invoke, clients only). A handler acts ONLY
+// through the Context it is handed: its own state, plus the Context's
+// sends, op-log events and op ids. It never reaches the World directly,
+// which is what lets the explorer run a handler on a private copy of the
+// recipient with the Context recording into an Effects buffer, hash the
+// would-be successor from that, and build the successor World only when
+// the state is new (World::probe_deliver). Processes must be deep-copyable
+// via clone() — the adversary harness forks entire Worlds to probe
+// hypothetical extensions of an execution, exactly like the paper's
 // proofs extend an execution from a point. Forked Worlds share process
 // blocks copy-on-write, so clone() runs not at fork time but on the first
 // mutation of a shared process (World::mutable_process); clone() must
@@ -18,6 +23,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bits.h"
@@ -30,10 +36,34 @@ namespace memu {
 
 class World;
 
-// Per-step effect interface handed to a process by the World.
+// The effects of one handler run, recorded instead of applied: the sends
+// in order as (destination, payload), the op-log events in order (each
+// already stamped with its step), and how many fresh op ids were taken.
+// World::probe_deliver fills one; World::apply_probe replays it onto a
+// fork in the same order the handler produced it.
+struct Effects {
+  std::vector<std::pair<NodeId, MessagePtr>> sends;
+  std::vector<OpEvent> events;
+  std::uint64_t op_ids = 0;
+
+  // Empties every part, keeping the vectors' capacity.
+  void clear() {
+    sends.clear();
+    events.clear();
+    op_ids = 0;
+  }
+};
+
+// Per-step effect interface handed to a process by the World. Without a
+// sink every call acts on the World at once; with one (the const-World
+// constructor) the calls record into the sink and leave the World alone,
+// while reporting the values the applied delivery would see.
 class Context {
  public:
-  Context(World& world, NodeId self) : world_(world), self_(self) {}
+  Context(World& world, NodeId self)
+      : world_(world), target_(&world), self_(self) {}
+  Context(const World& world, NodeId self, Effects& sink)
+      : world_(world), sink_(&sink), self_(self) {}
 
   NodeId self() const { return self_; }
 
@@ -46,7 +76,7 @@ class Context {
     for (NodeId d : dsts) send(d, payload);
   }
 
-  // Current world step count.
+  // Step count of the delivery or invocation in progress.
   std::uint64_t step() const;
 
   // Record an operation event (clients only).
@@ -55,10 +85,10 @@ class Context {
   // Fresh operation id.
   std::uint64_t next_op_id();
 
-  World& world() { return world_; }
-
  private:
-  World& world_;
+  const World& world_;
+  World* target_ = nullptr;  // set iff effects apply directly
+  Effects* sink_ = nullptr;  // set iff effects are recorded
   NodeId self_;
 };
 

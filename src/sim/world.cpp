@@ -8,17 +8,33 @@ namespace memu {
 
 void Context::send(NodeId dst, MessagePtr payload) {
   MEMU_CHECK(payload != nullptr);
-  world_.enqueue(ChannelId{self_, dst}, std::move(payload));
+  if (sink_ != nullptr) {
+    MEMU_CHECK(dst.value < world_.process_count());
+    sink_->sends.emplace_back(dst, std::move(payload));
+    return;
+  }
+  target_->enqueue(ChannelId{self_, dst}, std::move(payload));
 }
 
-std::uint64_t Context::step() const { return world_.step_count(); }
+// A recorded delivery has not bumped the World's step yet; the applied one
+// runs its handler after the bump.
+std::uint64_t Context::step() const {
+  return world_.step_count() + (sink_ != nullptr ? 1 : 0);
+}
 
 void Context::log_op(OpEvent e) {
-  e.step = world_.step_count();
-  world_.oplog().append(std::move(e));
+  e.step = step();
+  if (sink_ != nullptr) {
+    sink_->events.push_back(std::move(e));
+    return;
+  }
+  target_->oplog().append(std::move(e));
 }
 
-std::uint64_t Context::next_op_id() { return world_.next_op_id(); }
+std::uint64_t Context::next_op_id() {
+  if (sink_ != nullptr) return world_.next_op_id_ + sink_->op_ids++;
+  return target_->next_op_id();
+}
 
 // ---- World ------------------------------------------------------------------
 
@@ -175,29 +191,43 @@ void World::deliver_next_allowed(ChannelId chan) {
   deliver(chan, index);
 }
 
-void World::deliver(ChannelId chan, std::size_t index) {
+const MessagePayload& World::peek(ChannelId chan, std::size_t index) const {
   const ChannelTable::Queue* queue = channels_.find(chan);
   MEMU_CHECK_MSG(queue != nullptr && index < queue->size(),
                  "no message at " << chan << "[" << index << "]");
+  return *(*queue)[index].payload;
+}
+
+const MessagePayload& World::checked_payload(ChannelId chan,
+                                             std::size_t index) const {
+  const MessagePayload& payload = peek(chan, index);
   MEMU_CHECK_MSG(!frozen_.contains(chan.src) && !frozen_.contains(chan.dst),
                  "delivery on frozen channel " << chan);
   MEMU_CHECK_MSG(!partition_blocks(chan),
                  "delivery across partitioned channel " << chan);
   MEMU_CHECK_MSG(!value_blocked_.contains(chan.src) ||
-                     !(*queue)[index].payload->value_dependent(),
+                     !payload.value_dependent(),
                  "value-dependent delivery from value-blocked " << chan.src);
   MEMU_CHECK_MSG(!bulk_blocked_.contains(chan.src) ||
-                     !(*queue)[index].payload->value_bulk(),
+                     !payload.value_bulk(),
                  "bulk-value delivery from bulk-blocked " << chan.src);
-  Message msg = channels_.pop(chan, index);
+  return payload;
+}
 
+Message World::take_message(ChannelId chan, std::size_t index) {
+  checked_payload(chan, index);
+  Message msg = channels_.pop(chan, index);
   ++step_count_;
-  const bool dropped = crashed_.contains(chan.dst);
   if (tracing_) {
     trace_.record({step_count_, chan, std::string(msg.payload->type_name()),
-                   msg.payload->size_bits(), dropped});
+                   msg.payload->size_bits(), crashed_.contains(chan.dst)});
   }
-  if (dropped) return;  // dropped at a crashed node
+  return msg;
+}
+
+void World::deliver(ChannelId chan, std::size_t index) {
+  const Message msg = take_message(chan, index);
+  if (crashed_.contains(chan.dst)) return;  // dropped at a crashed node
 
   // A delivery the recipient provably ignores (stale quorum response,
   // duplicate ack — see Process::ignores) leaves a byte-identical state
@@ -207,6 +237,53 @@ void World::deliver(ChannelId chan, std::size_t index) {
 
   Context ctx(*this, chan.dst);
   mutable_process(chan.dst).on_message(ctx, chan.src, *msg.payload);
+}
+
+void World::probe_deliver(ChannelId chan, std::size_t index,
+                          Probe& probe) const {
+  MEMU_CHECK_MSG(!any_proc_dirty_, "probe_deliver on an unsettled hash");
+  const MessagePayload& payload = checked_payload(chan, index);
+  probe.clear();
+  std::uint64_t h = procs_hash_ ^ sets_hash_ ^ oplog_.content_hash();
+  const Proc& dst = procs_[chan.dst.value];
+  // The same two no-op cases deliver() skips the handler for.
+  if (!crashed_.contains(chan.dst) &&
+      !dst.ref->ignores(chan.src, payload)) {
+    probe.proc = clone_to_slab(*dst.ref);
+    Context ctx(*this, chan.dst, probe.effects);
+    probe.proc->on_message(ctx, chan.src, payload);
+    BufWriter fp = BufWriter::hashing();
+    probe.proc->encode_state(fp);
+    probe.proc_comp = statehash::component(statehash::kProcSeed,
+                                           chan.dst.value, fp.fingerprint());
+    h ^= dst.comp ^ probe.proc_comp;
+    std::size_t pos = oplog_.size();
+    for (const OpEvent& e : probe.effects.events)
+      h ^= statehash::component(statehash::kOplogSeed, pos++,
+                                OpLog::event_fp(e));
+  }
+  h ^= channels_.hash_after(chan, index, chan.dst, probe.effects.sends);
+  probe.hash = mix64(h);
+}
+
+void World::apply_probe(ChannelId chan, std::size_t index, Probe& probe) {
+  take_message(chan, index);
+  if (probe.proc) {
+    // The detach deliver() would make through mutable_process, metered
+    // the same way, but only now that the successor is being built.
+    Proc& p = procs_[chan.dst.value];
+    if (p.ref.use_count() > 1)
+      cowstats::note_process_detach(p.ref->detach_bytes());
+    procs_hash_ ^= p.comp ^ probe.proc_comp;
+    p.ref = std::move(probe.proc);
+    p.comp = probe.proc_comp;
+    p.dirty = 0;
+  }
+  for (auto& [dst, payload] : probe.effects.sends)
+    enqueue(ChannelId{chan.dst, dst}, std::move(payload));
+  for (OpEvent& e : probe.effects.events) oplog_.append(std::move(e));
+  next_op_id_ += probe.effects.op_ids;
+  probe.clear();
 }
 
 void World::drop_message(ChannelId chan, std::size_t index) {

@@ -165,11 +165,50 @@ class World {
   // message can still be lost or duplicated by the network).
   std::vector<std::pair<ChannelId, std::size_t>> channel_contents() const;
 
+  // The payload at `index` on `chan` (0 = oldest), without delivering it.
+  // Contract violation if there is none.
+  const MessagePayload& peek(ChannelId chan, std::size_t index) const;
+
   // Delivers the message at `index` on `chan` (0 = oldest). The destination
   // process reacts unless it is crashed (then the message is dropped).
   // Freezing is a scheduler-side restriction: delivering to a frozen node is
   // a contract violation, since deliverable_channels() excludes it.
   void deliver(ChannelId chan, std::size_t index = 0);
+
+  // What deliver(chan, index) would do, worked out without building the
+  // successor World: its state_hash(), plus the recipient's post-handler
+  // copy and the handler's recorded effects, which apply_probe installs.
+  // `proc` stays empty when the handler does not run (crashed recipient,
+  // or ignores() is true).
+  struct Probe {
+    std::uint64_t hash = 0;
+    SlabRef<Process> proc;
+    std::uint64_t proc_comp = 0;  // proc's settled hash component
+    Effects effects;
+
+    // Drops the copy and the effects, keeping buffer capacity.
+    void clear() {
+      proc.reset();
+      effects.clear();
+    }
+  };
+
+  // Fills `probe` for delivering `chan`[index] from this World, which is
+  // left untouched: the recipient's handler runs on a slab copy under an
+  // Effects sink, and the successor's hash is this World's hash with the
+  // recipient, the popped channel, every channel the recipient sent on and
+  // the new op-log events XORed over. Same contract checks as deliver().
+  // Requires a settled hash (state_hash() called since the last mutation)
+  // so that concurrent probes of one shared World only read it.
+  void probe_deliver(ChannelId chan, std::size_t index, Probe& probe) const;
+
+  // Turns a copy of the probed World into deliver(chan, index)'s result,
+  // consuming `probe`: pops the message, bumps the step, traces, adopts the
+  // recipient copy with its hash component settled, then enqueues the
+  // sends, appends the events and advances the op ids in recorded order.
+  // The result is byte-identical to deliver()'s, and its state_hash() is
+  // probe.hash without any re-encoding.
+  void apply_probe(ChannelId chan, std::size_t index, Probe& probe);
 
   // Delivers the oldest message on `chan` whose delivery the current
   // freeze/value-block state permits (for a value-blocked source, the
@@ -299,6 +338,14 @@ class World {
 
  private:
   friend class Context;
+
+  // deliver()'s contract checks; returns the payload at `chan`[index].
+  const MessagePayload& checked_payload(ChannelId chan,
+                                        std::size_t index) const;
+
+  // The delivery steps every path shares: checks, pop, step bump, trace.
+  // Returns the popped message.
+  Message take_message(ChannelId chan, std::size_t index);
 
   // First deliverable index in `queue` under the current freeze and
   // value-block state, or kNoIndex (shared constant in channel_table.h).

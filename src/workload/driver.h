@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "consistency/history.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "sim/world.h"
 #include "storage/meter.h"
 

@@ -2,7 +2,7 @@
 
 #include "common/check.h"
 #include "registers/value.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 
 namespace memu::workload {
 

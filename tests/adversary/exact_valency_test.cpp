@@ -9,7 +9,7 @@
 #include "adversary/harness.h"
 
 #include "algo/abd/client.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 
 namespace memu::adversary {
 namespace {

@@ -4,7 +4,7 @@
 
 #include <numeric>
 
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 
 namespace memu::adversary {
 namespace {

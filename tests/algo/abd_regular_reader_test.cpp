@@ -6,7 +6,7 @@
 
 #include "algo/abd/system.h"
 #include "consistency/checker.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 
 namespace memu::abd {
 namespace {

@@ -8,7 +8,7 @@
 #include "algo/cas/system.h"
 #include "common/hash.h"
 #include "consistency/checker.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "tests/algo/probe.h"
 #include "workload/driver.h"
 

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "algo/cas/system.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "tests/algo/probe.h"
 
 namespace memu::cas {

@@ -4,7 +4,7 @@
 
 #include "adversary/harness.h"
 #include "consistency/checker.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "workload/driver.h"
 
 namespace memu::strip {

@@ -4,7 +4,7 @@
 
 #include "algo/abd/system.h"
 #include "consistency/checker.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 
 namespace memu {
 namespace {

@@ -6,7 +6,7 @@
 #include "algo/cas/system.h"
 #include "consistency/checker.h"
 #include "sim/explorer.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "workload/driver.h"
 
 namespace memu {

@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "algo/abd/system.h"
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 
 namespace memu {
 namespace {

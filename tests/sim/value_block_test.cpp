@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "sim/scheduler.h"
+#include "engine/scheduler.h"
 #include "sim/world.h"
 
 namespace memu {
