@@ -486,7 +486,6 @@ void engine_benchmark() {
         .set("symmetry_merged", t.result.symmetry_merged)
         .set("symmetry_applied", t.result.symmetry_applied)
         .set("replay_steps", t.result.replay_steps)
-        .set("max_pop_replay", t.result.max_pop_replay)
         // Work-stealing telemetry (0 on sequential runs): batch steals and
         // the tasks they moved; the quotient is the realized steal-unit
         // size (engine/thread_pool.h).

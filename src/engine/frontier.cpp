@@ -179,7 +179,6 @@ class Search {
     // Every non-root pop delivers exactly one step, and counts one
     // transition; reloads add their replayed prefixes.
     result.replay_steps = result.transitions + reload_steps_.load();
-    result.max_pop_replay = result.transitions != 0 ? 1 : 0;
     result.complete = complete_.load() && !aborted_.load();
     {
       std::lock_guard<std::mutex> lock(violation_mu_);

@@ -155,11 +155,9 @@ struct ExploreResult {
   std::size_t tasks_stolen = 0;
   // Replay work: total steps delivered materializing popped nodes (one
   // each) and reloaded spill batches (each replays its shared prefix once,
-  // see engine/spill.h), and the largest single-pop replay — 1 whenever
-  // any non-root node was popped. Telemetry only: budgeted and unbudgeted
-  // runs of the same space legitimately differ in replay_steps.
+  // see engine/spill.h). Telemetry only: budgeted and unbudgeted runs of
+  // the same space legitimately differ in replay_steps.
   std::size_t replay_steps = 0;
-  std::size_t max_pop_replay = 0;
   bool complete = false;  // the whole space fit within the bounds
   bool ok = true;         // no invariant/terminal violation found
   std::string violation;  // description of the first violation

@@ -4,9 +4,7 @@
 
 namespace memu {
 
-ChannelId Scheduler::choose(World& world) {
-  const std::vector<ChannelId> chans = world.deliverable_channels();
-  MEMU_CHECK(!chans.empty());
+ChannelId Scheduler::choose(const std::vector<ChannelId>& chans) {
   if (policy_ != Policy::kRoundRobin) {
     return chans[rng_.next_below(chans.size())];
   }
@@ -19,8 +17,9 @@ ChannelId Scheduler::choose(World& world) {
 }
 
 bool Scheduler::step(World& world) {
-  if (!world.has_deliverable()) return false;
-  const ChannelId chan = choose(world);
+  const std::vector<ChannelId> chans = world.deliverable_channels();
+  if (chans.empty()) return false;
+  const ChannelId chan = choose(chans);
   if (policy_ == Policy::kRandomReorder) {
     const auto indices = world.deliverable_indices(chan);
     MEMU_CHECK(!indices.empty());

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "engine/driver.h"
@@ -35,7 +36,8 @@ class Scheduler : public engine::ExecutionDriver {
   bool step(World& world) override;
 
  private:
-  ChannelId choose(World& world);
+  // Picks one of `chans` (non-empty, from deliverable_channels()).
+  ChannelId choose(const std::vector<ChannelId>& chans);
 
   Policy policy_;
   Rng rng_;

@@ -321,19 +321,4 @@ std::size_t VisitedSet::memory_bytes() const {
   return n;
 }
 
-std::size_t VisitedSet::key_bytes() const {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < shard_count_; ++i) {
-    const Shard& s = shards_[i];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.exact != nullptr) {
-      n += s.exact->slab_used + s.entries * sizeof(std::string);
-    } else {
-      n += kFpSlot * (s.entries +
-                      (s.zero_present.load(std::memory_order_relaxed) ? 1 : 0));
-    }
-  }
-  return n;
-}
-
 }  // namespace memu::engine

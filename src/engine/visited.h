@@ -36,8 +36,7 @@
 // kInitialCapacity slots on its first insert and doubles on demand, so an
 // empty set costs only its shard headers. Either way memory_bytes() is
 // EXACT — live slots x slot width plus slab bytes — not the old per-key
-// estimate that ignored unordered_set node/bucket overhead (key_bytes()
-// preserves that estimate so tests can pin how far off it was).
+// estimate that ignored unordered_set node/bucket overhead.
 //
 // Membership-then-insert is a single operation: try_insert() probes the
 // table once and reports whether the key was fresh, so the frontier's hot
@@ -108,13 +107,6 @@ class VisitedSet {
   // number a --mem budget is debited by — not a per-key estimate. Retired
   // tables are not counted: their pages are returned to the OS.
   std::size_t memory_bytes() const;
-
-  // The legacy per-key estimate (8 bytes/state in fingerprint mode; the
-  // encoding length plus string-header bytes in exact mode). Kept ONLY so
-  // tests can assert how badly it undercounted the old unordered_set
-  // backing (which added ~40+ bytes of node + bucket overhead per entry it
-  // never reported) against the exact accounting above.
-  std::size_t key_bytes() const;
 
  private:
   // Where an exact-mode entry's encoding lives inside its shard's slab.

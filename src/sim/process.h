@@ -39,8 +39,9 @@ class World;
 // The effects of one handler run, recorded instead of applied: the sends
 // in order as (destination, payload), the op-log events in order (each
 // already stamped with its step), and how many fresh op ids were taken.
-// World::probe_deliver fills one; World::apply_probe replays it onto a
-// fork in the same order the handler produced it.
+// Every handler run fills one; the World applies it in recorded order
+// (World::apply_effects), or World::probe_deliver keeps it for a later
+// World::apply_probe.
 struct Effects {
   std::vector<std::pair<NodeId, MessagePtr>> sends;
   std::vector<OpEvent> events;
@@ -54,16 +55,14 @@ struct Effects {
   }
 };
 
-// Per-step effect interface handed to a process by the World. Without a
-// sink every call acts on the World at once; with one (the const-World
-// constructor) the calls record into the sink and leave the World alone,
-// while reporting the values the applied delivery would see.
+// Per-step effect interface handed to a process by the World. Every call
+// records into the Effects buffer and leaves the World alone; the values
+// it reports (step, op ids) are the ones the applied step sees.
 class Context {
  public:
-  Context(World& world, NodeId self)
-      : world_(world), target_(&world), self_(self) {}
-  Context(const World& world, NodeId self, Effects& sink)
-      : world_(world), sink_(&sink), self_(self) {}
+  Context(const World& world, NodeId self, Effects& effects,
+          std::uint64_t step)
+      : world_(world), effects_(effects), self_(self), step_(step) {}
 
   NodeId self() const { return self_; }
 
@@ -77,7 +76,7 @@ class Context {
   }
 
   // Step count of the delivery or invocation in progress.
-  std::uint64_t step() const;
+  std::uint64_t step() const { return step_; }
 
   // Record an operation event (clients only).
   void log_op(OpEvent e);
@@ -87,9 +86,9 @@ class Context {
 
  private:
   const World& world_;
-  World* target_ = nullptr;  // set iff effects apply directly
-  Effects* sink_ = nullptr;  // set iff effects are recorded
+  Effects& effects_;
   NodeId self_;
+  std::uint64_t step_;
 };
 
 // External invocation delivered to a client process.

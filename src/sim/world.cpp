@@ -8,35 +8,29 @@ namespace memu {
 
 void Context::send(NodeId dst, MessagePtr payload) {
   MEMU_CHECK(payload != nullptr);
-  if (sink_ != nullptr) {
-    MEMU_CHECK(dst.value < world_.process_count());
-    sink_->sends.emplace_back(dst, std::move(payload));
-    return;
-  }
-  target_->enqueue(ChannelId{self_, dst}, std::move(payload));
-}
-
-// A recorded delivery has not bumped the World's step yet; the applied one
-// runs its handler after the bump.
-std::uint64_t Context::step() const {
-  return world_.step_count() + (sink_ != nullptr ? 1 : 0);
+  MEMU_CHECK(dst.value < world_.process_count());
+  effects_.sends.emplace_back(dst, std::move(payload));
 }
 
 void Context::log_op(OpEvent e) {
-  e.step = step();
-  if (sink_ != nullptr) {
-    sink_->events.push_back(std::move(e));
-    return;
-  }
-  target_->oplog().append(std::move(e));
+  e.step = step_;
+  effects_.events.push_back(std::move(e));
 }
 
 std::uint64_t Context::next_op_id() {
-  if (sink_ != nullptr) return world_.next_op_id_ + sink_->op_ids++;
-  return target_->next_op_id();
+  return world_.next_op_id_ + effects_.op_ids++;
 }
 
 // ---- World ------------------------------------------------------------------
+
+// The buffer deliver() and invoke() record a handler's effects into, one
+// per thread. It is emptied before each use, so whatever a throwing
+// handler recorded is discarded instead of applied by the next step.
+static Effects& scratch_effects() {
+  thread_local Effects effects;
+  effects.clear();
+  return effects;
+}
 
 // Placement-copies `p` into a slot of this thread's slab pool. Process
 // hierarchies are single-inheritance with Process first, so the base-class
@@ -108,19 +102,11 @@ void World::enqueue(ChannelId chan, MessagePtr payload) {
 
 std::size_t World::first_allowed_index(
     ChannelId chan, const ChannelTable::Queue& queue) const {
-  if (queue.empty()) return kNoIndex;
-  if (crashed_.contains(chan.dst)) return kNoIndex;  // held; dropped on delivery
-  if (frozen_.contains(chan.src) || frozen_.contains(chan.dst)) return kNoIndex;
-  if (partition_blocks(chan)) return kNoIndex;
-  const bool vblock = value_blocked_.contains(chan.src);
-  const bool bblock = bulk_blocked_.contains(chan.src);
-  if (!vblock && !bblock) return 0;
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    const auto& payload = *queue[i].payload;
-    if (vblock && payload.value_dependent()) continue;
-    if (bblock && payload.value_bulk()) continue;
-    return i;
-  }
+  // A crashed recipient's queue is held; its messages drop on delivery.
+  if (queue.empty() || crashed_.contains(chan.dst) || !open(chan))
+    return kNoIndex;
+  for (std::size_t i = 0; i < queue.size(); ++i)
+    if (allowed(chan.src, *queue[i].payload)) return i;
   return kNoIndex;
 }
 
@@ -168,18 +154,10 @@ std::vector<std::pair<ChannelId, std::size_t>> World::channel_contents()
 std::vector<std::size_t> World::deliverable_indices(ChannelId chan) const {
   std::vector<std::size_t> out;
   const ChannelTable::Queue* queue = channels_.find(chan);
-  if (queue == nullptr) return out;
-  if (crashed_.contains(chan.dst)) return out;
-  if (frozen_.contains(chan.src) || frozen_.contains(chan.dst)) return out;
-  if (partition_blocks(chan)) return out;
-  const bool vblock = value_blocked_.contains(chan.src);
-  const bool bblock = bulk_blocked_.contains(chan.src);
-  for (std::size_t i = 0; i < queue->size(); ++i) {
-    const auto& payload = *(*queue)[i].payload;
-    if (vblock && payload.value_dependent()) continue;
-    if (bblock && payload.value_bulk()) continue;
-    out.push_back(i);
-  }
+  if (queue == nullptr || crashed_.contains(chan.dst) || !open(chan))
+    return out;
+  for (std::size_t i = 0; i < queue->size(); ++i)
+    if (allowed(chan.src, *(*queue)[i].payload)) out.push_back(i);
   return out;
 }
 
@@ -201,16 +179,9 @@ const MessagePayload& World::peek(ChannelId chan, std::size_t index) const {
 const MessagePayload& World::checked_payload(ChannelId chan,
                                              std::size_t index) const {
   const MessagePayload& payload = peek(chan, index);
-  MEMU_CHECK_MSG(!frozen_.contains(chan.src) && !frozen_.contains(chan.dst),
-                 "delivery on frozen channel " << chan);
-  MEMU_CHECK_MSG(!partition_blocks(chan),
-                 "delivery across partitioned channel " << chan);
-  MEMU_CHECK_MSG(!value_blocked_.contains(chan.src) ||
-                     !payload.value_dependent(),
-                 "value-dependent delivery from value-blocked " << chan.src);
-  MEMU_CHECK_MSG(!bulk_blocked_.contains(chan.src) ||
-                     !payload.value_bulk(),
-                 "bulk-value delivery from bulk-blocked " << chan.src);
+  MEMU_CHECK_MSG(open(chan), "delivery on frozen or partitioned " << chan);
+  MEMU_CHECK_MSG(allowed(chan.src, payload),
+                 "blocked value delivery from " << chan.src);
   return payload;
 }
 
@@ -235,8 +206,10 @@ void World::deliver(ChannelId chan, std::size_t index) {
   // a mutable_process() call would charge for nothing.
   if (procs_[chan.dst.value].ref->ignores(chan.src, *msg.payload)) return;
 
-  Context ctx(*this, chan.dst);
+  Effects& effects = scratch_effects();
+  Context ctx(*this, chan.dst, effects, step_count_);
   mutable_process(chan.dst).on_message(ctx, chan.src, *msg.payload);
+  apply_effects(chan.dst, effects);
 }
 
 void World::probe_deliver(ChannelId chan, std::size_t index,
@@ -250,7 +223,7 @@ void World::probe_deliver(ChannelId chan, std::size_t index,
   if (!crashed_.contains(chan.dst) &&
       !dst.ref->ignores(chan.src, payload)) {
     probe.proc = clone_to_slab(*dst.ref);
-    Context ctx(*this, chan.dst, probe.effects);
+    Context ctx(*this, chan.dst, probe.effects, step_count_ + 1);
     probe.proc->on_message(ctx, chan.src, payload);
     BufWriter fp = BufWriter::hashing();
     probe.proc->encode_state(fp);
@@ -279,11 +252,15 @@ void World::apply_probe(ChannelId chan, std::size_t index, Probe& probe) {
     p.comp = probe.proc_comp;
     p.dirty = 0;
   }
-  for (auto& [dst, payload] : probe.effects.sends)
-    enqueue(ChannelId{chan.dst, dst}, std::move(payload));
-  for (OpEvent& e : probe.effects.events) oplog_.append(std::move(e));
-  next_op_id_ += probe.effects.op_ids;
-  probe.clear();
+  apply_effects(chan.dst, probe.effects);
+}
+
+void World::apply_effects(NodeId self, Effects& effects) {
+  for (auto& [dst, payload] : effects.sends)
+    enqueue(ChannelId{self, dst}, std::move(payload));
+  for (OpEvent& e : effects.events) oplog_.append(std::move(e));
+  next_op_id_ += effects.op_ids;
+  effects.clear();
 }
 
 void World::drop_message(ChannelId chan, std::size_t index) {
@@ -322,36 +299,22 @@ void World::invoke(NodeId client, Invocation inv) {
   MEMU_CHECK(client.value < procs_.size());
   MEMU_CHECK_MSG(!crashed_.contains(client), "invocation at crashed " << client);
   ++step_count_;
-  Context ctx(*this, client);
+  Effects& effects = scratch_effects();
+  Context ctx(*this, client, effects, step_count_);
   mutable_process(client).on_invoke(ctx, inv);
+  apply_effects(client, effects);
 }
 
-StateBits World::total_server_storage() const {
-  StateBits total;
-  for (const Proc& p : procs_)
-    if (p.ref->is_server() && !crashed_.contains(p.ref->id()))
-      total += p.ref->state_size();
-  return total;
-}
-
-StateBits World::max_server_storage() const {
-  StateBits best;
+ServerStorage World::server_storage() const {
+  ServerStorage out;
   for (const Proc& p : procs_) {
     if (!p.ref->is_server() || crashed_.contains(p.ref->id())) continue;
     const StateBits s = p.ref->state_size();
-    if (s.total() > best.total()) best = s;
+    out.total += s;
+    if (s.total() > out.max.total()) out.max = s;
+    if (s.value_bits > out.max_value_bits) out.max_value_bits = s.value_bits;
   }
-  return best;
-}
-
-double World::max_server_value_bits() const {
-  double best = 0.0;
-  for (const Proc& p : procs_) {
-    if (!p.ref->is_server() || crashed_.contains(p.ref->id())) continue;
-    const double v = p.ref->state_size().value_bits;
-    if (v > best) best = v;
-  }
-  return best;
+  return out;
 }
 
 Bytes World::canonical_encoding() const {

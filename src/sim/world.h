@@ -36,6 +36,17 @@
 
 namespace memu {
 
+// Server storage at one point of an execution, from one pass over the live
+// servers (World::server_storage).
+struct ServerStorage {
+  StateBits total;            // sum over servers: the paper's TotalStorage
+  StateBits max;              // the server with the largest total(): MaxStorage
+  // Max value bits over servers. The value-bit argmax server may differ
+  // from the total-bit argmax (a metadata-heavy server can dominate
+  // total()), so this is tracked separately.
+  double max_value_bits = 0;
+};
+
 class World {
  public:
   World() = default;
@@ -194,18 +205,18 @@ class World {
   };
 
   // Fills `probe` for delivering `chan`[index] from this World, which is
-  // left untouched: the recipient's handler runs on a slab copy under an
-  // Effects sink, and the successor's hash is this World's hash with the
-  // recipient, the popped channel, every channel the recipient sent on and
-  // the new op-log events XORed over. Same contract checks as deliver().
+  // left untouched: the recipient's handler runs on a slab copy, recording
+  // into probe.effects, and the successor's hash is this World's hash with
+  // the recipient, the popped channel, every channel the recipient sent on
+  // and the new op-log events XORed over. Same contract checks as deliver().
   // Requires a settled hash (state_hash() called since the last mutation)
   // so that concurrent probes of one shared World only read it.
   void probe_deliver(ChannelId chan, std::size_t index, Probe& probe) const;
 
   // Turns a copy of the probed World into deliver(chan, index)'s result,
   // consuming `probe`: pops the message, bumps the step, traces, adopts the
-  // recipient copy with its hash component settled, then enqueues the
-  // sends, appends the events and advances the op ids in recorded order.
+  // recipient copy with its hash component settled, then applies the
+  // recorded effects (apply_effects), as deliver() does.
   // The result is byte-identical to deliver()'s, and its state_hash() is
   // probe.hash without any re-encoding.
   void apply_probe(ChannelId chan, std::size_t index, Probe& probe);
@@ -267,17 +278,14 @@ class World {
 
   std::uint64_t next_op_id() { return next_op_id_++; }
 
-  // Sum of state_size() over all server processes: the paper's
-  // TotalStorage at this point of the execution.
-  StateBits total_server_storage() const;
+  // Storage of the live (uncrashed) servers at this point of the
+  // execution, in one pass with one state_size() call per server, taken
+  // in id order (so sums and argmax ties are deterministic).
+  ServerStorage server_storage() const;
 
-  // Max of state_size().total() over servers: MaxStorage at this point.
-  StateBits max_server_storage() const;
-
-  // Max of state_size().value_bits over servers. The value-bit argmax
-  // server may differ from the total-bit argmax (a metadata-heavy server
-  // can dominate total()), so the meter tracks this measure separately.
-  double max_server_value_bits() const;
+  // Sum of state_size() over the live servers: the paper's TotalStorage at
+  // this point of the execution.
+  StateBits total_server_storage() const { return server_storage().total; }
 
   // Bits currently in flight on channels (for channel-occupancy ablations).
   StateBits channel_bits() const;
@@ -347,15 +355,31 @@ class World {
   // Returns the popped message.
   Message take_message(ChannelId chan, std::size_t index);
 
+  // Applies a handler run's recorded effects, in recorded order: enqueues
+  // the sends on self -> dst, appends the op-log events and advances the op
+  // ids. Then empties `effects`. deliver(), invoke() and apply_probe() all
+  // end here.
+  void apply_effects(NodeId self, Effects& effects);
+
   // First deliverable index in `queue` under the current freeze and
   // value-block state, or kNoIndex (shared constant in channel_table.h).
   std::size_t first_allowed_index(ChannelId chan,
                                   const ChannelTable::Queue& queue) const;
 
-  // Whether an active partition separates the endpoints of `chan`.
-  bool partition_blocks(ChannelId chan) const {
-    return !partition_.empty() &&
-           partition_.contains(chan.src) != partition_.contains(chan.dst);
+  // Whether `chan` may deliver at all: neither endpoint is frozen and no
+  // active partition separates them.
+  bool open(ChannelId chan) const {
+    return !frozen_.contains(chan.src) && !frozen_.contains(chan.dst) &&
+           (partition_.empty() ||
+            partition_.contains(chan.src) == partition_.contains(chan.dst));
+  }
+
+  // Whether a message from `src` may deliver under the value and bulk
+  // blocks: a value-blocked source holds back value-dependent messages, a
+  // bulk-blocked one value-bulk messages.
+  bool allowed(NodeId src, const MessagePayload& payload) const {
+    return !(value_blocked_.contains(src) && payload.value_dependent()) &&
+           !(bulk_blocked_.contains(src) && payload.value_bulk());
   }
 
   // XORs the membership component of (seed, id) into the failure-set hash

@@ -53,20 +53,17 @@ struct StorageReport {
 class StorageMeter {
  public:
   void observe(const World& w) {
-    const StateBits total = w.total_server_storage();
-    const StateBits mx = w.max_server_storage();
-    if (total.total() > report_.peak_total.total())
-      report_.peak_total = total;
-    if (mx.total() > report_.peak_max_server.total())
-      report_.peak_max_server = mx;
-    if (total.value_bits > report_.peak_total_value_bits)
-      report_.peak_total_value_bits = total.value_bits;
-    // Separate scan: the value-bit argmax server may not be the total()
-    // argmax server reported by max_server_storage().
-    const double mx_value = w.max_server_value_bits();
-    if (mx_value > report_.peak_max_value_bits)
-      report_.peak_max_value_bits = mx_value;
-    report_.final_total = total;
+    const ServerStorage now = w.server_storage();
+    if (now.total.total() > report_.peak_total.total())
+      report_.peak_total = now.total;
+    if (now.max.total() > report_.peak_max_server.total())
+      report_.peak_max_server = now.max;
+    if (now.total.value_bits > report_.peak_total_value_bits)
+      report_.peak_total_value_bits = now.total.value_bits;
+    // The value-bit argmax server may not be the total() argmax server.
+    if (now.max_value_bits > report_.peak_max_value_bits)
+      report_.peak_max_value_bits = now.max_value_bits;
+    report_.final_total = now.total;
     ++report_.observations;
   }
 

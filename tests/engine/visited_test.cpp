@@ -67,27 +67,10 @@ TEST(VisitedSet, ExactModeBehavesIdentically) {
   EXPECT_EQ(exact.size(), 300u);
 }
 
-TEST(VisitedSet, KeyBytesPreservesTheLegacyPerKeyEstimate) {
-  VisitedSet fp({/*exact=*/false});
-  VisitedSet exact({/*exact=*/true});
-  // 200-byte keys, the ballpark of a small World encoding.
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    BufWriter w;
-    for (int j = 0; j < 25; ++j) w.u64(i);
-    const Bytes k = std::move(w).take();
-    fp.try_insert(k);
-    exact.try_insert(k);
-  }
-  EXPECT_EQ(fp.key_bytes(), 8u * 100);
-  EXPECT_GE(exact.key_bytes(), 200u * 100);
-}
-
 TEST(VisitedSet, MemoryBytesIsExactAndExceedsTheLegacyEstimate) {
-  // The old memory_bytes() WAS key_bytes(): it summed key payloads and
-  // silently ignored the unordered_set's ~40+ bytes of node + bucket
-  // overhead per entry. The new accounting reports real allocated bytes
-  // (slot tables + slabs), which is strictly larger — pin both the
-  // relation and the exact value so the undercount can never creep back.
+  // memory_bytes() reports real allocated bytes (slot tables + slabs), not
+  // a per-key estimate that misses node and bucket overhead — pin the
+  // exact value so an undercount can never creep back.
   VisitedSet fp({/*exact=*/false});
   EXPECT_EQ(fp.memory_bytes(), 0u);  // tables come with the first insert
   std::vector<std::uint64_t> fps;
@@ -95,14 +78,12 @@ TEST(VisitedSet, MemoryBytesIsExactAndExceedsTheLegacyEstimate) {
     fp.try_insert(key(i));
     fps.push_back(fingerprint64(key(i)));
   }
-  EXPECT_GT(fp.memory_bytes(), fp.key_bytes());
   // Each shard's table is the smallest doubling of kInitialCapacity that
   // holds its entries at a 75% load limit, 8 B/slot.
   EXPECT_EQ(fp.memory_bytes(), live_slots(fps, fp.shard_count()) * 8u);
 
   VisitedSet exact({/*exact=*/true});
   for (std::uint64_t i = 0; i < 100; ++i) exact.try_insert(key(i));
-  EXPECT_GT(exact.memory_bytes(), exact.key_bytes());
   // Exact mode adds the refs table and the encoding slab on top.
   EXPECT_GE(exact.memory_bytes(), 256u * (8u + 16u) + 100u * 8u);
 }

@@ -5,7 +5,7 @@
 // duplicated messages and crashes, which produce stale and repeated quorum
 // responses), every allowed delivery whose recipient ignores it is run
 // through the real handler anyway: on a slab copy of the recipient, with
-// the Context recording into an Effects sink. The handler must send
+// the Context recording into an Effects buffer. The handler must send
 // nothing, log nothing, take no op id, and leave encode_state() unchanged.
 #include <gtest/gtest.h>
 
@@ -31,7 +31,7 @@ std::size_t check_if_ignored(const World& w, ChannelId chan,
   Process* copy = p.clone_into(local_pool().alloc(p.clone_footprint()));
   const SlabRef<Process> clone = SlabRef<Process>::adopt(copy);
   Effects fx;
-  Context ctx(w, chan.dst, fx);
+  Context ctx(w, chan.dst, fx, w.step_count() + 1);
   clone->on_message(ctx, chan.src, msg);
   SCOPED_TRACE(::testing::Message() << p.name() << " ignores "
                                     << msg.type_name() << " on " << chan);

@@ -180,7 +180,7 @@ TEST(World, ServerStorageAggregation) {
   w.deliver({a, b});
   // b received 2 messages -> 16 metadata bits; a received none.
   EXPECT_DOUBLE_EQ(w.total_server_storage().metadata_bits, 16);
-  EXPECT_DOUBLE_EQ(w.max_server_storage().metadata_bits, 16);
+  EXPECT_DOUBLE_EQ(w.server_storage().max.metadata_bits, 16);
 }
 
 TEST(World, CrashedServersExcludedFromStorage) {

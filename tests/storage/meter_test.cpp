@@ -77,7 +77,7 @@ TEST(StorageMeter, PerServerValueMaxIgnoresMetadataHeavyServer) {
   EXPECT_DOUBLE_EQ(rep.peak_max_server.total(), 110);
   EXPECT_DOUBLE_EQ(rep.peak_max_server.value_bits, 10);
   EXPECT_DOUBLE_EQ(rep.peak_max_value_bits, 50);
-  EXPECT_DOUBLE_EQ(w.max_server_value_bits(), 50);
+  EXPECT_DOUBLE_EQ(w.server_storage().max_value_bits, 50);
 }
 
 // Crashed servers stop counting toward every measure, including the
